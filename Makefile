@@ -75,12 +75,14 @@ cluster-smoke: build
 	$(GO) run ./examples/cluster -shards 2 -rounds 3
 
 # Short fuzzing smoke: the R-tree op-stream and node-codec targets,
-# plus the WAL frame codec.
+# the WAL frame codec, and the HTTP request/update decoders.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRTree -fuzztime=30s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzNodeRoundTrip -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzDecodeNode -fuzztime=15s ./internal/index/rtree
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=15s ./internal/wal
+	$(GO) test -fuzz=FuzzRequestJSON -fuzztime=15s ./internal/serve
+	$(GO) test -fuzz=FuzzUpdateJSON -fuzztime=15s ./internal/serve
 
 # API-surface gate: the public facade (package repro) is a reviewed
 # artifact. apicheck regenerates the surface with `go doc -all` and

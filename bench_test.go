@@ -248,14 +248,13 @@ func BenchmarkAblationGaussianObjects(b *testing.B) {
 // Nearest-neighbor extension at paper-default issuer size.
 func BenchmarkNNExtension(b *testing.B) {
 	world.init(b)
-	rng := rand.New(rand.NewSource(32))
 	issPDF, err := repro.NewUniformPDF(repro.RectCentered(repro.Pt(5000, 5000), 250, 250))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.EvaluateNN(world.points, issPDF, 500, rng); err != nil {
+		if _, err := repro.EvaluateNN(world.points, issPDF, 500, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

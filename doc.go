@@ -21,6 +21,9 @@
 // per-request deadlines and whole-batch cancellation. Malformed
 // requests return a typed *RequestError naming the offending field.
 //
+// Request.Seed is the only determinism input: every Monte-Carlo sample
+// stream is keyed by it (zero selects the fixed default streams).
+//
 //	issuerPDF, _ := repro.NewUniformPDF(repro.RectCentered(repro.Pt(5200, 4800), 250, 250))
 //	issuer, _ := repro.NewIssuer(issuerPDF)
 //	engine, _ := repro.NewEngine(points, objects, repro.EngineOptions{})
@@ -34,9 +37,10 @@
 // issuer among the point objects (the paper's §7 future-work
 // extension). Candidates are pruned by branch-and-bound over the
 // engine's point R-tree — node accesses recorded in Cost like every
-// other kind — and refined with one deterministic Monte-Carlo sample
-// stream per candidate object id, so results are bit-identical at
-// every Workers count and consistent under concurrent ingestion.
+// other kind — and refined by tallying nearest-candidate wins over one
+// shared issuer-position stream keyed by the request seed, so results
+// are bit-identical at every Workers count and consistent under
+// concurrent ingestion.
 //
 // The pre-Request methods (EvaluatePoints, EvaluateUncertain, their
 // Context variants, EvaluateUncertainParallel, EvaluateBatch,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 )
@@ -60,7 +59,6 @@ func Fig8(env *Env, basicSamples int) (Figure, error) {
 		s, err = env.runPoint(overUncertain, issuers, p.W, p.W, 0, core.EvalOptions{
 			Method:       core.MethodBasic,
 			BasicSamples: basicSamples,
-			Rng:          rand.New(rand.NewSource(env.cfg.Seed + 100)),
 		}, u)
 		if err != nil {
 			return Figure{}, err
@@ -171,7 +169,6 @@ func sweepQpPoints(env *Env, id, title string, mcSamples int) (Figure, error) {
 		}
 		s, err := env.runPoint(overPoints, issuers, p.W, p.W, qp, core.EvalOptions{
 			PointMCSamples: mcSamples,
-			Rng:            rand.New(rand.NewSource(env.cfg.Seed + 200)),
 		}, qp)
 		if err != nil {
 			return Figure{}, err
@@ -181,7 +178,6 @@ func sweepQpPoints(env *Env, id, title string, mcSamples int) (Figure, error) {
 		s, err = env.runPoint(overPoints, issuers, p.W, p.W, qp, core.EvalOptions{
 			DisablePExpansion: true,
 			PointMCSamples:    mcSamples,
-			Rng:               rand.New(rand.NewSource(env.cfg.Seed + 201)),
 		}, qp)
 		if err != nil {
 			return Figure{}, err

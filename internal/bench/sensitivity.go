@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 )
 
@@ -46,7 +47,9 @@ func (r SensitivityResult) Render(w io.Writer) {
 
 // SensitivityIPQ measures point-object refinement error versus sample
 // count under a Gaussian issuer, over trials random configurations at
-// the paper's default geometry.
+// the paper's default geometry. Configuration i samples from stream i
+// at every count, so the rows differ only in how much of one stream
+// they use.
 func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResult, error) {
 	cfg = cfg.withDefaults()
 	if len(sampleCounts) == 0 {
@@ -87,8 +90,8 @@ func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResu
 	for _, n := range sampleCounts {
 		var sumErr, maxErr float64
 		start := time.Now()
-		for _, sc := range scenarios {
-			mc := core.PointQualificationBasic(sc.issuer, sc.s, p.W, p.W, n, rng)
+		for i, sc := range scenarios {
+			mc := core.PointQualificationBasic(sc.issuer, sc.s, p.W, p.W, n, int64(i))
 			e := math.Abs(mc - sc.exact)
 			sumErr += e
 			maxErr = math.Max(maxErr, e)
@@ -105,7 +108,8 @@ func SensitivityIPQ(cfg Config, sampleCounts []int, trials int) (SensitivityResu
 
 // SensitivityIUQ is the uncertain-object analogue (paper: 250 samples
 // for C-IUQ), comparing Monte-Carlo refinement against the quadrature
-// evaluator under Gaussian issuer and object pdfs.
+// evaluator under Gaussian issuer and object pdfs. Streams are keyed
+// per configuration, as in SensitivityIPQ.
 func SensitivityIUQ(cfg Config, sampleCounts []int, trials int) (SensitivityResult, error) {
 	cfg = cfg.withDefaults()
 	if len(sampleCounts) == 0 {
@@ -147,12 +151,10 @@ func SensitivityIUQ(cfg Config, sampleCounts []int, trials int) (SensitivityResu
 	for _, n := range sampleCounts {
 		var sumErr, maxErr float64
 		start := time.Now()
-		for _, sc := range scenarios {
-			mc := core.ObjectQualification(sc.issuer, sc.obj, p.W, p.W, core.ObjectEvalConfig{
-				ForceMonteCarlo: true,
-				MCSamples:       n,
-				Rng:             rng,
-			})
+		for i, sc := range scenarios {
+			kern := core.DualityKernel(sc.issuer, p.W, p.W)
+			rng := mcbound.Stream(int64(i), 0)
+			mc, _, _ := mcbound.Estimate(n, 0, 0, 0, func() float64 { return kern(sc.obj.Sample(rng)) })
 			e := math.Abs(mc - sc.exact)
 			sumErr += e
 			maxErr = math.Max(maxErr, e)

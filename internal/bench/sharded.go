@@ -173,7 +173,9 @@ func (f *shardedFleet) replay(reqs []core.Request, guards []geom.Rect, clientsPe
 // every overlapping shard, deletes to the stale replicas a move leaves
 // behind — and applies each batch's per-shard sub-batches concurrently
 // (each shard machine ingests its own share). Returns the elapsed
-// wall-clock.
+// wall-clock, or the first update a shard rejected (in shard order), so
+// a failed shard write fails the experiment instead of counting as
+// ingested.
 func (f *shardedFleet) ingest(trace []shardedMove, batchSize int) (time.Duration, error) {
 	start := time.Now()
 	for off := 0; off < len(trace); off += batchSize {
@@ -196,6 +198,7 @@ func (f *shardedFleet) ingest(trace []shardedMove, batchSize int) (time.Duration
 			f.replicas[mv.id] = reps
 		}
 		var wg sync.WaitGroup
+		errs := make([]error, len(perShard))
 		for s, ups := range perShard {
 			if len(ups) == 0 {
 				continue
@@ -203,10 +206,17 @@ func (f *shardedFleet) ingest(trace []shardedMove, batchSize int) (time.Duration
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				f.engines[s].ApplyUpdates(ups)
+				if rep := f.engines[s].ApplyUpdates(ups); len(rep.Errors) > 0 {
+					errs[s] = fmt.Errorf("shard %d: %w", s, rep.Errors[0])
+				}
 			}()
 		}
 		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return 0, err
+			}
+		}
 	}
 	return time.Since(start), nil
 }

@@ -56,13 +56,12 @@ func (w *throughputWorld) init(b *testing.B) (*Env, []core.Query) {
 // the hot path the prepared query plan is meant to speed up.
 func BenchmarkRefineCIUQ(b *testing.B) {
 	env, queries := tpWorld.init(b)
-	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q := queries[n%len(queries)]
 		resp, err := env.Engine.Evaluate(context.Background(),
-			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: core.EvalOptions{Rng: rng}})
+			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,14 +74,13 @@ func BenchmarkRefineCIUQ(b *testing.B) {
 // per-candidate qualification arithmetic.
 func BenchmarkRefineIUQ(b *testing.B) {
 	env, queries := tpWorld.init(b)
-	rng := rand.New(rand.NewSource(11))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		q := queries[n%len(queries)]
 		q.Threshold = 0
 		resp, err := env.Engine.Evaluate(context.Background(),
-			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Options: core.EvalOptions{Rng: rng}})
+			core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,8 +99,7 @@ func BenchmarkThroughput(b *testing.B) {
 				rng := rand.New(rand.NewSource(13))
 				reqs := make([]core.Request, len(queries))
 				for i, q := range queries {
-					reqs[i] = core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold,
-						Options: core.EvalOptions{Rng: rng}, Seed: rng.Int63()}
+					reqs[i] = core.Request{Kind: core.KindUncertain, Issuer: q.Issuer, W: q.W, H: q.H, Threshold: q.Threshold, Seed: rng.Int63()}
 				}
 				var reqErr error
 				err := env.Engine.EvaluateAll(context.Background(), reqs, core.AllOptions{Workers: workers},

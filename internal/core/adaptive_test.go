@@ -8,13 +8,12 @@ import (
 	"repro/internal/pdf"
 )
 
-// adaptiveOpts builds forced-Monte-Carlo options with a fixed seed so
-// the adaptive and full-budget runs consume identical per-candidate
-// sample streams (streams are derived from one parent draw of Rng and
-// each candidate's object id; see refineSurvivors).
-func adaptiveOpts(seed int64, samples int, mode AdaptiveMode) EvalOptions {
+// adaptiveOpts builds forced-Monte-Carlo options. Evaluated with one
+// seed, the adaptive and full-budget runs consume identical
+// per-candidate sample streams (streams are keyed by the request seed
+// and each candidate's object id; see refineSurvivors).
+func adaptiveOpts(samples int, mode AdaptiveMode) EvalOptions {
 	return EvalOptions{
-		Rng: rand.New(rand.NewSource(seed)),
 		Object: ObjectEvalConfig{
 			ForceMonteCarlo: true,
 			MCSamples:       samples,
@@ -35,11 +34,11 @@ func TestAdaptiveQualifyingSetBitIdentical(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			q := Query{Issuer: iss, W: 220, H: 220, Threshold: qp}
 
-			full, err := e.EvaluateUncertainParallel(q, adaptiveOpts(7, 512, AdaptiveOff), workers)
+			full, err := e.EvaluateUncertainParallel(q, adaptiveOpts(512, AdaptiveOff), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			adpt, err := e.EvaluateUncertainParallel(q, adaptiveOpts(7, 512, AdaptiveAuto), workers)
+			adpt, err := e.EvaluateUncertainParallel(q, adaptiveOpts(512, AdaptiveAuto), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,12 +84,12 @@ func TestAdaptiveSerialMatchesParallel(t *testing.T) {
 	iss := testIssuer(t, geom.Pt(510, 490), 60)
 	q := Query{Issuer: iss, W: 200, H: 200, Threshold: 0.3}
 
-	serial, err := e.EvaluateUncertain(q, adaptiveOpts(11, 256, AdaptiveAuto))
+	serial, err := e.EvaluateUncertain(q, adaptiveOpts(256, AdaptiveAuto))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		par, err := e.EvaluateUncertainParallel(q, adaptiveOpts(11, 256, AdaptiveAuto), workers)
+		par, err := e.EvaluateUncertainParallel(q, adaptiveOpts(256, AdaptiveAuto), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +129,8 @@ func TestQualifyThresholdDecisionAgreesWithFullBudget(t *testing.T) {
 		c := geom.Pt((rng.Float64()*2-1)*160, (rng.Float64()*2-1)*160)
 		obj := pdf.MustUniform(geom.RectCentered(c, 5+rng.Float64()*40, 5+rng.Float64()*40))
 		qp := [3]float64{0.1, 0.5, 0.9}[trial%3]
-		seed := int64(3000 + trial)
 
-		cfgFull := ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512, Adaptive: AdaptiveOff,
-			Rng: rand.New(rand.NewSource(seed))}
+		cfgFull := ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512, Adaptive: AdaptiveOff}
 		pFull, nFull, earlyFull := oq.QualifyThreshold(obj, qp, cfgFull)
 		if earlyFull || nFull != 512 {
 			t.Fatalf("trial %d: AdaptiveOff stopped early (n=%d)", trial, nFull)
@@ -141,7 +138,6 @@ func TestQualifyThresholdDecisionAgreesWithFullBudget(t *testing.T) {
 
 		cfgAdpt := cfgFull
 		cfgAdpt.Adaptive = AdaptiveAuto
-		cfgAdpt.Rng = rand.New(rand.NewSource(seed))
 		pAdpt, nAdpt, early := oq.QualifyThreshold(obj, qp, cfgAdpt)
 		if nAdpt > 512 {
 			t.Fatalf("trial %d: drew %d > budget", trial, nAdpt)
@@ -167,7 +163,7 @@ func TestAdaptivePrunedVsUnprunedAgree(t *testing.T) {
 	q := Query{Issuer: iss, W: 200, H: 200, Threshold: 0.4}
 
 	mk := func(disable bool) EvalOptions {
-		o := adaptiveOpts(13, 256, AdaptiveAuto)
+		o := adaptiveOpts(256, AdaptiveAuto)
 		if disable {
 			o.DisablePExpansion = true
 			o.DisableIndexPruning = true

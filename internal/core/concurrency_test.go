@@ -114,12 +114,12 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 					for rep := 0; rep < 3; rep++ {
 						i := (wkr + rep*workers) % len(queries)
 						q := queries[i]
-						rp, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(int64(900 + wkr)))})
+						rp, err := e.EvaluatePoints(q, EvalOptions{})
 						if err != nil {
 							errs <- err
 							return
 						}
-						ru, err := e.EvaluateUncertain(q, EvalOptions{Rng: rand.New(rand.NewSource(int64(900 + wkr)))})
+						ru, err := e.EvaluateUncertain(q, EvalOptions{})
 						if err != nil {
 							errs <- err
 							return
@@ -179,9 +179,9 @@ func TestEvaluateBatchDeterministic(t *testing.T) {
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {
-			serial := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(77))}, 1)
+			serial := e.EvaluateBatch(batch, EvalOptions{}, 1)
 			for workers := 2; workers <= 4; workers++ {
-				par := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(77))}, workers)
+				par := e.EvaluateBatch(batch, EvalOptions{}, workers)
 				if len(par) != len(serial) {
 					t.Fatalf("workers=%d: %d results, want %d", workers, len(par), len(serial))
 				}
@@ -227,7 +227,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i, q := range queries {
-			r, err := paged.EvaluateUncertain(q, EvalOptions{Rng: rand.New(rand.NewSource(31))})
+			r, err := paged.EvaluateUncertain(q, EvalOptions{})
 			if err != nil {
 				errs <- err
 				return
@@ -237,7 +237,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		r, err := paged.EvaluateUncertainParallel(queries[0], EvalOptions{Rng: rand.New(rand.NewSource(32))}, 4)
+		r, err := paged.EvaluateUncertainParallel(queries[0], EvalOptions{}, 4)
 		if err != nil {
 			errs <- err
 			return

@@ -36,7 +36,7 @@ func TestDiscIssuerPointQualificationAgainstMC(t *testing.T) {
 		s := geom.Pt(40+rng.Float64()*120, 40+rng.Float64()*120)
 		w, h := 10+rng.Float64()*50, 10+rng.Float64()*50
 		exact := PointQualification(iss.PDF, s, w, h)
-		mc := PointQualificationBasic(iss.PDF, s, w, h, 50000, rng)
+		mc := PointQualificationBasic(iss.PDF, s, w, h, 50000, int64(i))
 		if !approx(exact, mc, 0.012) {
 			t.Fatalf("point %v: clip-exact %g vs MC %g", s, exact, mc)
 		}
@@ -49,9 +49,8 @@ func TestDiscObjectQualificationAgainstBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(302))
-	got := ObjectQualification(issuer, obj, 30, 30, ObjectEvalConfig{MCSamples: 80000, Rng: rng})
-	want := ObjectQualificationBasic(issuer, obj, 30, 30, 80000, rng)
+	got := ObjectQualification(issuer, obj, 30, 30, ObjectEvalConfig{MCSamples: 80000})
+	want := ObjectQualificationBasic(issuer, obj, 30, 30, 80000, 302)
 	if !approx(got, want, 0.012) {
 		t.Fatalf("disc object: MC duality %g vs basic %g", got, want)
 	}
@@ -118,7 +117,6 @@ func TestDiscEngineEndToEnd(t *testing.T) {
 				o.DisableIndexPruning = true
 				o.Strategies = StrategySet{DisableStrategy1: true, DisableStrategy2: true, DisableStrategy3: true}
 			}
-			o.Object.Rng = rand.New(rand.NewSource(1000 + int64(trial)))
 			return o
 		}
 		pruned, err := e.EvaluateUncertain(q, mkOpts(false))

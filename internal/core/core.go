@@ -26,6 +26,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geom"
@@ -35,7 +36,7 @@ import (
 // Errors returned by the engine.
 var (
 	ErrNilIssuer     = errors.New("core: query has no issuer")
-	ErrBadExtents    = errors.New("core: query half extents must be positive")
+	ErrBadExtents    = errors.New("core: query half extents must be positive and finite")
 	ErrBadThreshold  = errors.New("core: probability threshold must be in [0, 1]")
 	ErrUnknownMethod = errors.New("core: unknown evaluation method")
 	// ErrSampleBudget reports that a query's Monte-Carlo refinement
@@ -66,14 +67,22 @@ func (q Query) Validate() error {
 	if q.Issuer == nil {
 		return ErrNilIssuer
 	}
-	if q.W <= 0 || q.H <= 0 {
+	if !validExtent(q.W) || !validExtent(q.H) {
 		return fmt.Errorf("%w: w=%g h=%g", ErrBadExtents, q.W, q.H)
 	}
-	if q.Threshold < 0 || q.Threshold > 1 {
+	if !validThreshold(q.Threshold) {
 		return fmt.Errorf("%w: %g", ErrBadThreshold, q.Threshold)
 	}
 	return nil
 }
+
+// validExtent reports whether a range half extent is positive and
+// finite (NaN fails every comparison, so it is rejected too).
+func validExtent(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+
+// validThreshold reports whether a probability threshold lies in
+// [0, 1] (NaN included in neither).
+func validThreshold(v float64) bool { return v >= 0 && v <= 1 }
 
 // Expanded returns the Minkowski sum R ⊕ U0 (§4.1): the region outside
 // which qualification probabilities are zero.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index/pti"
 	"repro/internal/index/rtree"
+	"repro/internal/mcbound"
 	"repro/internal/obs"
 	"repro/internal/uncertain"
 )
@@ -103,16 +103,16 @@ type EngineOptions struct {
 // concurrent requests do not perturb each other's counters. Any
 // number of goroutines may Evaluate simultaneously — over in-memory
 // or paged node stores (the sharded buffer pool is internally
-// synchronized) — as long as each call uses a distinct Request.Seed
-// or EvalOptions.Rng (EvaluateAll derives an independent seed per
-// request automatically).
+// synchronized).
 //
-// Determinism: for a fixed engine version, request, and seed,
-// evaluation is bit-identical at every worker count (serial
-// included): range refinement derives one sample stream per candidate
-// object, keyed by object id (see refineSurvivors), and NN refinement
-// derives one shared position stream keyed by sample block, merged as
-// integer tallies (see nn.Refine).
+// Determinism: Request.Seed is the only determinism input. For a
+// fixed engine version, request, and seed, evaluation is
+// bit-identical at every worker count (serial included): range
+// refinement draws one sample stream per candidate object, keyed by
+// (seed, object id) (see refineSurvivors), and NN refinement draws one
+// shared position stream keyed by (seed, sample block), merged as
+// integer tallies (see nn.Refine). Concurrent calls share no sampling
+// state, so they need not use distinct seeds.
 type Engine struct {
 	// writeMu serializes writers; readers never take it.
 	writeMu sync.Mutex
@@ -284,19 +284,11 @@ type EvalOptions struct {
 	// ObjectEvalConfig.Adaptive) stretches the budget by spending
 	// fewer samples on clear-cut candidates.
 	MaxSamples int64
-	// Rng drives sampling paths; nil uses a fixed seed.
-	Rng *rand.Rand
 }
 
 func (o EvalOptions) withDefaults() EvalOptions {
 	if o.BasicSamples <= 0 {
 		o.BasicSamples = 400
-	}
-	if o.Rng == nil {
-		o.Rng = rand.New(rand.NewSource(2))
-	}
-	if o.Object.Rng == nil {
-		o.Object.Rng = o.Rng
 	}
 	o.Object = o.Object.withDefaults()
 	return o
@@ -317,7 +309,7 @@ func (o EvalOptions) evalContext(ctx context.Context) (context.Context, context.
 
 // evaluatePoints validates, applies defaults and deadline, and
 // dispatches a point-database evaluation against this state.
-func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOptions, seed int64) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -326,44 +318,44 @@ func (st *engineState) evaluatePoints(ctx context.Context, q Query, opts EvalOpt
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluatePointsEnhanced(ctx, q, opts)
+		return st.scanPoints(ctx, q, opts, seed, newQueryPlan(q, opts, false).searchReg, opts.PointMCSamples)
 	case MethodBasic:
-		return st.evaluatePointsBasic(ctx, q, opts)
+		// The basic method still needs a candidate set; without the
+		// paper's observations the best available filter is the plain
+		// Minkowski range (its absence would mean scanning the whole
+		// database, making the baseline look arbitrarily bad). Every
+		// candidate refines by issuer sampling (§3.3).
+		return st.scanPoints(ctx, q, opts, seed, q.Expanded(), opts.BasicSamples)
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
 	}
 }
 
-func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+// scanPoints probes the point index with searchReg and refines every
+// candidate inside the scan: by the closed form (Lemma 3) when
+// mcSamples is zero, otherwise by sampling the issuer mcSamples times
+// (the §3.3 basic method, and the enhanced method's §6.2 regime for
+// non-uniform pdfs).
+//
+// Each sampled candidate draws from the stream keyed by (seed, object
+// id), so adaptive early termination on one candidate cannot shift
+// the samples any other candidate sees, and the full-budget and
+// adaptive runs of one stream agree on every threshold decision (the
+// certainty bound is exact).
+func (st *engineState) scanPoints(ctx context.Context, q Query, opts EvalOptions, seed int64, searchReg geom.Rect, mcSamples int) (Result, error) {
 	start := time.Now()
 	var res Result
-
-	plan := newQueryPlan(q, opts, false)
-	if plan.searchReg.Empty() {
+	if searchReg.Empty() {
 		res.Cost.Duration = time.Since(start)
 		return res, nil
 	}
 
-	// Monte-Carlo point refinement draws each candidate's stream from
-	// a source derived from one parent draw and the candidate's object
-	// id — as in refineSurvivors — so adaptive early termination on
-	// one candidate cannot shift the samples any other candidate sees,
-	// and the full-budget and adaptive runs of one stream agree on
-	// every threshold decision (the certainty bound is exact).
-	var parent int64
-	if opts.PointMCSamples > 0 {
-		parent = opts.Rng.Int63()
-	}
-	// Early termination applies only against a real threshold.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
+	stopQP := stopThreshold(q, opts)
 	// The points path interleaves filter and refinement inside one
 	// index scan, so it records a single "scan" span rather than the
 	// filter/refine/merge decomposition of the uncertain and NN paths.
 	spS := obs.TraceFrom(ctx).StartSpan("scan")
-	na, err := st.pointIdx.SearchCounted(plan.searchReg, nil, func(en rtree.Entry) bool {
+	na, err := st.pointIdx.SearchCounted(searchReg, nil, func(en rtree.Entry) bool {
 		if canceled(ctx) != nil {
 			return false
 		}
@@ -379,12 +371,11 @@ func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts
 		}
 		res.Cost.Refined++
 		var prob float64
-		if opts.PointMCSamples > 0 {
-			rng := newSeededRand(deriveSeed(parent, int(p.ID)))
+		if mcSamples > 0 {
 			var n int
 			var early bool
-			prob, n, early = pointQualificationMCThreshold(q.Issuer.PDF, p.Loc, q.W, q.H,
-				stopQP, opts.PointMCSamples, opts.Object.MCBlock, opts.Object.MCDelta, rng)
+			prob, n, early = mcbound.Estimate(mcSamples, opts.Object.MCBlock, stopQP, opts.Object.MCDelta,
+				pointHit(q.Issuer.PDF, p.Loc, q.W, q.H, mcbound.Stream(seed, uint64(p.ID))))
 			res.Cost.SamplesUsed += int64(n)
 			if early {
 				res.Cost.EarlyStopped++
@@ -418,70 +409,9 @@ func (st *engineState) evaluatePointsEnhanced(ctx context.Context, q Query, opts
 	return res, nil
 }
 
-func (st *engineState) evaluatePointsBasic(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
-	start := time.Now()
-	var res Result
-
-	// The basic method still needs a candidate set; without the
-	// paper's observations the best available filter is the plain
-	// Minkowski range (its absence would mean scanning the whole
-	// database, making the baseline look arbitrarily bad).
-	//
-	// Its issuer-sampling loop supports the same adaptive early
-	// termination as the Monte-Carlo refiners: for a threshold query
-	// (unless Object.Adaptive turns it off) sampling stops once a
-	// certainty or confidence bound decides the candidate against the
-	// threshold, with the actual draws recorded in SamplesUsed and the
-	// saves in EarlyStopped.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
-	searchReg := q.Expanded()
-	na, err := st.pointIdx.SearchCounted(searchReg, nil, func(en rtree.Entry) bool {
-		if canceled(ctx) != nil {
-			return false
-		}
-		if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-			return false
-		}
-		res.Cost.Candidates++
-		p, ok := st.points.Get(uncertain.ID(en.Ref))
-		if !ok {
-			return true
-		}
-		res.Cost.Refined++
-		prob, n, early := pointQualificationMCThreshold(q.Issuer.PDF, p.Loc, q.W, q.H,
-			stopQP, opts.BasicSamples, opts.Object.MCBlock, opts.Object.MCDelta, opts.Rng)
-		res.Cost.SamplesUsed += int64(n)
-		if early {
-			res.Cost.EarlyStopped++
-		}
-		if accept(prob, q.Threshold) {
-			res.Matches = append(res.Matches, Match{ID: p.ID, P: prob})
-		} else {
-			res.Cost.BelowThreshold++
-		}
-		return true
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := canceled(ctx); err != nil {
-		return Result{}, err
-	}
-	if opts.MaxSamples > 0 && res.Cost.SamplesUsed > opts.MaxSamples {
-		return Result{}, ErrSampleBudget
-	}
-	res.Cost.NodeAccesses = na
-	sortMatches(res.Matches)
-	res.Cost.Duration = time.Since(start)
-	return res, nil
-}
-
 // evaluateUncertain validates, applies defaults and deadline, and
 // dispatches an uncertain-database evaluation against this state.
-func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int) (Result, error) {
+func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts EvalOptions, workers int, seed int64) (Result, error) {
 	if err := q.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -490,9 +420,9 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 	defer cancel()
 	switch opts.Method {
 	case MethodEnhanced:
-		return st.evaluateUncertainEnhanced(ctx, q, opts, workers)
+		return st.evaluateUncertainEnhanced(ctx, q, opts, workers, seed)
 	case MethodBasic:
-		return st.evaluateUncertainBasic(ctx, q, opts)
+		return st.evaluateUncertainBasic(ctx, q, opts, seed)
 	default:
 		return Result{}, fmt.Errorf("%w: %v", ErrUnknownMethod, opts.Method)
 	}
@@ -504,7 +434,7 @@ func (st *engineState) evaluateUncertain(ctx context.Context, q Query, opts Eval
 // CPU time goes — runs over the prepared query plan, optionally split
 // across a worker pool (see refineSurvivors). ctx must already carry
 // any opts.Timeout bound.
-func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, workers int) (Result, error) {
+func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, opts EvalOptions, workers int, seed int64) (Result, error) {
 	start := time.Now()
 	var res Result
 	tr := obs.TraceFrom(ctx)
@@ -569,7 +499,7 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	spF.End()
 
 	spR := tr.StartSpan("refine")
-	probs, rst, err := refineSurvivors(ctx, plan, survivors, opts, workers)
+	probs, rst, err := refineSurvivors(ctx, plan, survivors, opts, workers, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -596,17 +526,15 @@ func (st *engineState) evaluateUncertainEnhanced(ctx context.Context, q Query, o
 	return res, nil
 }
 
-func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts EvalOptions) (Result, error) {
+func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts EvalOptions, seed int64) (Result, error) {
 	start := time.Now()
 	var res Result
 
-	// The basic issuer-sampling loop early-terminates against a real
-	// threshold like every other refinement path; see
-	// ObjectQualificationBasicThreshold.
-	stopQP := 0.0
-	if q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = q.Threshold
-	}
+	// The basic issuer-sampling loop (Equation 4) early-terminates
+	// against a real threshold like every other refinement path, and
+	// draws each candidate's issuer positions from the stream keyed by
+	// (seed, object id).
+	stopQP := stopThreshold(q, opts)
 	expanded := q.Expanded()
 	na, err := st.uncIdx.RangeSearchCounted(expanded, func(id uncertain.ID) bool {
 		if canceled(ctx) != nil {
@@ -621,8 +549,8 @@ func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts
 			return true
 		}
 		res.Cost.Refined++
-		prob, n, early := objectQualificationBasicThreshold(q.Issuer.PDF, obj.PDF, q.W, q.H,
-			stopQP, opts.BasicSamples, opts.Object.MCBlock, opts.Object.MCDelta, opts.Rng)
+		prob, n, early := mcbound.Estimate(opts.BasicSamples, opts.Object.MCBlock, stopQP, opts.Object.MCDelta,
+			objectMass(q.Issuer.PDF, obj.PDF, q.W, q.H, mcbound.Stream(seed, uint64(id))))
 		res.Cost.SamplesUsed += int64(n)
 		if early {
 			res.Cost.EarlyStopped++
@@ -647,6 +575,17 @@ func (st *engineState) evaluateUncertainBasic(ctx context.Context, q Query, opts
 	sortMatches(res.Matches)
 	res.Cost.Duration = time.Since(start)
 	return res, nil
+}
+
+// stopThreshold is the threshold Monte-Carlo refinement may stop
+// early against: the query's own, unless opts.Object.Adaptive forbids
+// early termination. Zero (no threshold, or AdaptiveOff) draws the
+// full budget (see mcbound.Estimate).
+func stopThreshold(q Query, opts EvalOptions) float64 {
+	if opts.Object.Adaptive != AdaptiveAuto {
+		return 0
+	}
+	return q.Threshold
 }
 
 // accept applies the result predicate: non-zero probability for
@@ -685,6 +624,3 @@ func cmpMatch(a, b Match) int {
 		return 0
 	}
 }
-
-// newSeededRand builds a deterministic source for derived workers.
-func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -281,13 +281,12 @@ func TestBasicMethodAgreesWithEnhanced(t *testing.T) {
 	e := testWorld(t, 300, 300, 12)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
 	q := Query{Issuer: iss, W: 100, H: 100}
-	rng := rand.New(rand.NewSource(13))
 
 	enh, err := e.EvaluatePoints(q, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bas, err := e.EvaluatePoints(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000, Rng: rng})
+	bas, err := e.EvaluatePoints(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +308,7 @@ func TestBasicMethodAgreesWithEnhanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basU, err := e.EvaluateUncertain(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000, Rng: rng})
+	basU, err := e.EvaluateUncertain(q, EvalOptions{Method: MethodBasic, BasicSamples: 40000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			// writers churn.
 			for round := 0; round < 3; round++ {
 				err := e.EvaluateBatchStream(context.Background(), batch,
-					EvalOptions{Rng: rand.New(rand.NewSource(int64(round)))}, 4,
+					EvalOptions{}, 4,
 					func(i int, br BatchResult) {
 						if br.Err != nil {
 							t.Errorf("query %d: %v", i, br.Err)
@@ -225,8 +225,8 @@ func TestConcurrentUpdatesAndQueries(t *testing.T) {
 			wg.Wait()
 
 			// Quiesced: a concurrent batch must now equal the serial one.
-			want := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 1)
-			got := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 4)
+			want := e.EvaluateBatch(batch, EvalOptions{}, 1)
+			got := e.EvaluateBatch(batch, EvalOptions{}, 4)
 			for i := range batch {
 				if want[i].Err != nil || got[i].Err != nil {
 					t.Fatalf("query %d: err %v / %v", i, want[i].Err, got[i].Err)
@@ -298,7 +298,6 @@ func TestPointAdaptiveMC(t *testing.T) {
 
 		full, err := e.EvaluatePoints(q, EvalOptions{
 			PointMCSamples: 1024,
-			Rng:            rand.New(rand.NewSource(7)),
 			Object:         ObjectEvalConfig{Adaptive: AdaptiveOff},
 		})
 		if err != nil {
@@ -306,7 +305,6 @@ func TestPointAdaptiveMC(t *testing.T) {
 		}
 		adpt, err := e.EvaluatePoints(q, EvalOptions{
 			PointMCSamples: 1024,
-			Rng:            rand.New(rand.NewSource(7)),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -184,13 +184,10 @@ func kindForTarget(t Target) Kind {
 }
 
 // batchRequests converts a legacy BatchQuery workload to requests,
-// reproducing the historical per-query seed derivation bit-exactly:
-// one parent draw from the defaulted options source, then
-// splitmix-derived per-index seeds. It exists only for the deprecated
+// seeding query i exactly as EvaluateAll seeds an unseeded request i
+// under a zero AllOptions.Seed. It exists only for the deprecated
 // EvaluateBatch / EvaluateBatchStream / EvaluateUncertainBatch shims.
 func batchRequests(queries []BatchQuery, opts EvalOptions) []Request {
-	o := opts.withDefaults()
-	parent := o.Rng.Int63()
 	reqs := make([]Request, len(queries))
 	for i, bq := range queries {
 		reqs[i] = Request{
@@ -200,7 +197,7 @@ func batchRequests(queries []BatchQuery, opts EvalOptions) []Request {
 			H:         bq.Query.H,
 			Threshold: bq.Query.Threshold,
 			Options:   opts,
-			Seed:      deriveSeed(parent, i),
+			Seed:      deriveSeed(0, i),
 		}
 	}
 	return reqs

@@ -160,12 +160,7 @@ func EvaluateNNCandidates(ctx context.Context, req Request, candidates []NNCandi
 	if req.Kind != KindNN {
 		return Result{}, badRequest("kind", errors.New("EvaluateNNCandidates requires a nn request"))
 	}
-	opts := req.Options
-	if req.Seed != 0 {
-		opts.Rng = newSeededRand(req.Seed)
-		opts.Object.Rng = opts.Rng
-	}
-	opts = opts.withDefaults()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 

@@ -58,10 +58,10 @@ func nnTau(idx *rtree.Tree, u0 geom.Rect) (float64, int64, error) {
 }
 
 // evaluateNN answers one KindNN request against this state. req must
-// already be validated; opts is req.Options with any Seed applied.
-func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOptions) (Result, error) {
+// already be validated.
+func (st *engineState) evaluateNN(ctx context.Context, req Request) (Result, error) {
 	start := time.Now()
-	opts = opts.withDefaults()
+	opts := req.Options.withDefaults()
 	ctx, cancel := opts.evalContext(ctx)
 	defer cancel()
 
@@ -182,7 +182,7 @@ func (st *engineState) evaluateNN(ctx context.Context, req Request, opts EvalOpt
 // refineNN computes the per-candidate nearest-neighbor probabilities
 // through the shared-stream tally kernel (nn.Refine), serially or
 // across req.Workers goroutines. Sample positions are keyed by
-// (parent seed, block index) and merged as integer tallies, so the
+// (req.Seed, block index) and merged as integer tallies, so the
 // worker count and scheduling cannot change any estimate; ctx is
 // polled once per sample block, so deadlines and cancellation bite
 // mid-stream. For threshold requests the kernel retires candidates
@@ -194,7 +194,7 @@ func refineNN(ctx context.Context, cands []uncertain.PointObject, req Request, o
 	if len(cands) == 0 {
 		return nil, nn.RefineStats{}, nil
 	}
-	return nn.Refine(cands, req.Issuer.PDF, opts.Rng.Int63(), nn.RefineConfig{
+	return nn.Refine(cands, req.Issuer.PDF, req.Seed, nn.RefineConfig{
 		Samples:   samples,
 		Threshold: req.Threshold,
 		Adaptive:  opts.Object.Adaptive == AdaptiveAuto,

@@ -99,7 +99,7 @@ func compareMatches(t *testing.T, label string, a, b []Match) {
 
 // TestConcurrentQueries exercises read-only engine use from many
 // goroutines (meaningful under -race): searches share the index and
-// the atomic access counters, each goroutine with its own Rng.
+// the atomic access counters.
 func TestConcurrentQueries(t *testing.T) {
 	e := testWorld(t, 2000, 2000, 402)
 	const workers = 8
@@ -120,11 +120,11 @@ func TestConcurrentQueries(t *testing.T) {
 					return
 				}
 				q := Query{Issuer: iss, W: 80, H: 80, Threshold: 0.3}
-				if _, err := e.EvaluatePoints(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.EvaluatePoints(q, EvalOptions{}); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.EvaluateUncertain(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.EvaluateUncertain(q, EvalOptions{}); err != nil {
 					errs <- err
 					return
 				}

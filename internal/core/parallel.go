@@ -5,28 +5,16 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/pdf"
+	"repro/internal/mcbound"
 	"repro/internal/uncertain"
 )
 
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix
-// whose outputs for consecutive inputs are statistically independent.
-// It is the standard recommendation for deriving child PRNG seeds from
-// a parent seed plus an index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed maps one parent draw and a child index to a child seed.
-// Unlike the additive parent+index scheme it replaces, two children of
-// the same parent can never receive the same seed, and children of
-// parents that happen to differ by a small offset do not collide
+// deriveSeed maps a parent seed and a child index to a child seed.
+// Two children of the same parent never receive the same seed, and
+// children of parents that differ by a small offset do not collide
 // either.
 func deriveSeed(parent int64, child int) int64 {
-	return int64(splitmix64(uint64(parent) + splitmix64(uint64(child))))
+	return int64(mcbound.Mix64(uint64(parent) + mcbound.Mix64(uint64(child))))
 }
 
 // refineStats aggregates what refinement spent: total Monte-Carlo
@@ -41,13 +29,12 @@ type refineStats struct {
 // survivors of pruning, in input order, through the prepared query
 // plan, and reports the sampling cost. workers <= 1 refines serially
 // on the caller's goroutine; workers > 1 splits the survivors across
-// a worker pool. Candidates refined by Monte-Carlo each draw from
-// their own deterministic source derived (splitmix-style, see
-// deriveSeed) from a single parent draw of opts.Rng and the
-// candidate's object id — serial and parallel alike.
+// a worker pool. Candidates refined by Monte-Carlo each draw from the
+// stream keyed by (seed, object id) — serial and parallel alike (see
+// mcbound.Stream).
 //
-// Reproducibility contract: for a fixed engine, query, and options
-// seed, results are bit-identical run to run and across every worker
+// Reproducibility contract: for a fixed engine, query, and seed,
+// results are bit-identical run to run and across every worker
 // count, serial included — seeding is per candidate object, so
 // neither the scheduler, the worker count, nor the refinement order
 // can change which sample stream refines which object. Keying the
@@ -65,7 +52,7 @@ type refineStats struct {
 // Whether the budget trips is deterministic — per-candidate streams
 // make the full total independent of refinement order — even though
 // the exact stopping candidate under workers > 1 is not.
-func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain.Object, opts EvalOptions, workers int) ([]float64, refineStats, error) {
+func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain.Object, opts EvalOptions, workers int, seed int64) ([]float64, refineStats, error) {
 	var st refineStats
 	if len(survivors) == 0 {
 		return nil, st, nil
@@ -75,29 +62,14 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 	}
 	probs := make([]float64, len(survivors))
 
-	// Sampling sources are only consulted by Monte-Carlo refinement
-	// (forced, or any side of the duality integral non-separable), so
-	// the per-candidate rand.New is only paid where hundreds of
-	// samples dwarf it; pure closed-form refinement never derives one.
-	// The parent is drawn unconditionally so the serial and parallel
-	// paths consume opts.Rng identically.
-	parent := opts.Rng.Int63()
-	mcAll := opts.Object.ForceMonteCarlo || !plan.qualifier.separable
-	// Early termination applies only against a real threshold.
-	stopQP := 0.0
-	if plan.q.Threshold > 0 && opts.Object.Adaptive == AdaptiveAuto {
-		stopQP = plan.q.Threshold
-	}
+	stopQP := stopThreshold(plan.q, opts)
 
 	budget := opts.MaxSamples
 	overBudget := func(total int64) bool { return budget > 0 && total > budget }
 
 	refineOne := func(i int, cfg ObjectEvalConfig, sc *evalScratch) (int, bool) {
 		obj := survivors[i]
-		if mcAll || !isSeparable(obj.PDF) {
-			cfg.Rng = newSeededRand(deriveSeed(parent, int(obj.ID)))
-		}
-		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, stopQP, cfg, sc)
+		p, n, early := plan.qualifier.qualifyThreshold(obj.PDF, stopQP, cfg, sc, seed, uint64(obj.ID))
 		probs[i] = p
 		return n, early
 	}
@@ -162,13 +134,6 @@ func refineSurvivors(ctx context.Context, plan queryPlan, survivors []*uncertain
 		return probs, st, ErrSampleBudget
 	}
 	return probs, st, nil
-}
-
-// isSeparable reports whether the pdf factors by axis (the closed-form
-// refinement precondition).
-func isSeparable(p pdf.PDF) bool {
-	_, ok := p.(pdf.Separable)
-	return ok
 }
 
 // canceled returns the context's error if it is done, nil otherwise.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/integrate"
+	"repro/internal/mcbound"
 	"repro/internal/pdf"
 )
 
@@ -161,9 +162,7 @@ func NewObjectQualifier(issuer pdf.PDF, w, h float64) *ObjectQualifier {
 // It is equivalent to ObjectQualification(issuer, obj, w, h, cfg) with
 // the qualifier's issuer and extents.
 func (oq *ObjectQualifier) Qualify(obj pdf.PDF, cfg ObjectEvalConfig) float64 {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	p, _, _ := oq.qualifyThreshold(obj, 0, cfg.withDefaults(), sc)
+	p, _, _ := oq.QualifyThreshold(obj, 0, cfg)
 	return p
 }
 
@@ -176,15 +175,16 @@ func (oq *ObjectQualifier) Qualify(obj pdf.PDF, cfg ObjectEvalConfig) float64 {
 func (oq *ObjectQualifier) QualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig) (p float64, samples int, early bool) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	return oq.qualifyThreshold(obj, qp, cfg.withDefaults(), sc)
+	return oq.qualifyThreshold(obj, qp, cfg.withDefaults(), sc, 0, 0)
 }
 
 // qualifyThreshold is the engine-internal path: cfg must already carry
 // defaults and sc is the caller's scratch (one per goroutine, not per
 // candidate). qp > 0 enables threshold early termination for the
 // Monte-Carlo branch unless cfg.Adaptive turns it off; the closed-form
-// branch is exact and ignores qp.
-func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, sc *evalScratch) (float64, int, bool) {
+// branch is exact and ignores qp. The Monte-Carlo branch draws object
+// locations from the stream keyed by (seed, key).
+func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectEvalConfig, sc *evalScratch, seed int64, key uint64) (float64, int, bool) {
 	if !cfg.ForceMonteCarlo && oq.separable {
 		if sObj, ok := obj.(pdf.Separable); ok {
 			clip := obj.Support().Intersect(oq.expSup)
@@ -199,10 +199,12 @@ func (oq *ObjectQualifier) qualifyThreshold(obj pdf.PDF, qp float64, cfg ObjectE
 			return clampProb(fx * fy), 0, false
 		}
 	}
-	if qp > 0 && cfg.Adaptive == AdaptiveAuto {
-		return objectQualificationMCThreshold(oq.issuer, obj, oq.w, oq.h, qp, cfg)
+	if cfg.Adaptive != AdaptiveAuto {
+		qp = 0
 	}
-	return objectQualificationMC(oq.issuer, obj, oq.w, oq.h, cfg), cfg.MCSamples, false
+	kern := DualityKernel(oq.issuer, oq.w, oq.h)
+	rng := mcbound.Stream(seed, key)
+	return mcbound.Estimate(cfg.MCSamples, cfg.MCBlock, qp, cfg.MCDelta, func() float64 { return kern(obj.Sample(rng)) })
 }
 
 // queryPlan is the per-query execution state the engine prepares once

@@ -25,18 +25,22 @@ func PointQualification(issuer pdf.PDF, s geom.Point, w, h float64) float64 {
 // PointQualificationBasic computes the same probability the basic way
 // (§3.3, Equation 2): sample the issuer's location n times and count
 // how often the object falls inside the range query formed at each
-// sample. This is the baseline the duality formula replaces.
-func PointQualificationBasic(issuer pdf.PDF, s geom.Point, w, h float64, n int, rng *rand.Rand) float64 {
-	if n <= 0 {
+// sample. This is the baseline the duality formula replaces. The
+// samples come from the stream keyed by (seed, 0); see mcbound.Stream.
+func PointQualificationBasic(issuer pdf.PDF, s geom.Point, w, h float64, n int, seed int64) float64 {
+	p, _, _ := mcbound.Estimate(n, 0, 0, 0, pointHit(issuer, s, w, h, mcbound.Stream(seed, 0)))
+	return p
+}
+
+// pointHit is the sample of the basic point estimator: 1 when the
+// range query formed at one issuer draw contains s, else 0.
+func pointHit(issuer pdf.PDF, s geom.Point, w, h float64, rng *rand.Rand) func() float64 {
+	return func() float64 {
+		if geom.RectCentered(issuer.Sample(rng), w, h).Contains(s) {
+			return 1
+		}
 		return 0
 	}
-	hits := 0
-	for i := 0; i < n; i++ {
-		if geom.RectCentered(issuer.Sample(rng), w, h).Contains(s) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(n)
 }
 
 // DualityKernel returns Q(x,y) of Lemma 3/4: the qualification
@@ -96,8 +100,6 @@ type ObjectEvalConfig struct {
 	// QuadratureNodes is the per-axis Gauss–Legendre order for smooth
 	// separable factors without closed form (default 24).
 	QuadratureNodes int
-	// Rng drives sampling; nil creates a fixed-seed source.
-	Rng *rand.Rand
 }
 
 func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
@@ -112,9 +114,6 @@ func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 	}
 	if c.QuadratureNodes <= 0 {
 		c.QuadratureNodes = 24
-	}
-	if c.Rng == nil {
-		c.Rng = rand.New(rand.NewSource(1))
 	}
 	return c
 }
@@ -132,7 +131,9 @@ func (c ObjectEvalConfig) withDefaults() ObjectEvalConfig {
 //     integrals (spectrally accurate for the smooth Gaussian kernel);
 //   - otherwise (or when cfg.ForceMonteCarlo): Monte-Carlo over the
 //     object's own distribution, pi = E_fi[Q(X)], which is unbiased
-//     because Q vanishes outside R⊕U0.
+//     because Q vanishes outside R⊕U0. The draws come from the stream
+//     keyed by (0, 0) (see mcbound.Stream); the engine keys each
+//     candidate's stream by the request seed and the object id.
 //
 // When evaluating many candidates of one query, prepare a reusable
 // ObjectQualifier instead — this convenience form rebuilds the
@@ -141,186 +142,22 @@ func ObjectQualification(issuer, obj pdf.PDF, w, h float64, cfg ObjectEvalConfig
 	return NewObjectQualifier(issuer, w, h).Qualify(obj, cfg)
 }
 
-// objectQualificationMC is the sampling path: draw locations from the
-// object's pdf and average the exact duality kernel.
-func objectQualificationMC(issuer, obj pdf.PDF, w, h float64, cfg ObjectEvalConfig) float64 {
-	q := DualityKernel(issuer, w, h)
-	var sum float64
-	for i := 0; i < cfg.MCSamples; i++ {
-		sum += q(obj.Sample(cfg.Rng))
-	}
-	return clampProb(sum / float64(cfg.MCSamples))
-}
-
-// objectQualificationMCThreshold is the adaptive sampling path for
-// threshold queries: sampling runs in blocks of cfg.MCBlock and stops
-// as soon as a bound proves which side of qp the candidate falls on
-// (see mcbound.Decided). It returns the estimate, the samples
-// actually drawn, and whether the loop terminated early. For qp <= 0
-// it degenerates to the full-budget objectQualificationMC.
-//
-// The returned estimate is always on the same side of qp as the
-// full-budget estimate would be for the certainty bound, and as the
-// true probability (with confidence 1−MCDelta per check) for the
-// Hoeffding bound, so the qualifying set of a threshold query is
-// unchanged by early termination — only the number of samples spent
-// on clear-cut candidates shrinks.
-func objectQualificationMCThreshold(issuer, obj pdf.PDF, w, h, qp float64, cfg ObjectEvalConfig) (float64, int, bool) {
-	kern := DualityKernel(issuer, w, h)
-	total := cfg.MCSamples
-	var sum, sumSq float64
-	n := 0
-	for n < total {
-		block := cfg.MCBlock
-		if block > total-n {
-			block = total - n
-		}
-		for j := 0; j < block; j++ {
-			v := kern(obj.Sample(cfg.Rng))
-			sum += v
-			sumSq += v * v
-		}
-		n += block
-		if n >= total || qp <= 0 {
-			continue
-		}
-		if p, done := mcbound.Decided(sum, sumSq, n, total, qp, cfg.MCDelta); done {
-			return p, n, true
-		}
-	}
-	return clampProb(sum / float64(total)), total, false
-}
-
-// ObjectQualificationThreshold is ObjectQualification with adaptive
-// early termination against the probability threshold qp: it returns
-// the estimate, the Monte-Carlo samples drawn (zero for closed-form
-// refinement), and whether sampling stopped before the full budget.
-// See ObjectEvalConfig.Adaptive for the stopping rule.
-func ObjectQualificationThreshold(issuer, obj pdf.PDF, w, h, qp float64, cfg ObjectEvalConfig) (float64, int, bool) {
-	return NewObjectQualifier(issuer, w, h).QualifyThreshold(obj, qp, cfg)
-}
-
-// pointQualificationMCThreshold is the adaptive Monte-Carlo point
-// refinement (the §6.2 regime for non-uniform issuer pdfs): sample the
-// issuer's location in blocks of block and count how often the object
-// falls inside the range query formed at each sample. For qp > 0 the
-// loop stops as soon as mcbound.Decided proves which side of qp the
-// candidate falls on — the indicator samples lie in {0, 1} ⊂ [0, 1],
-// so the same certainty / Hoeffding / empirical-Bernstein bounds
-// apply, and sumSq equals sum. It returns the estimate, the samples
-// actually drawn, and whether the loop terminated early; qp <= 0
-// degenerates to the full-budget PointQualificationBasic.
-func pointQualificationMCThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float64, total, block int, delta float64, rng *rand.Rand) (float64, int, bool) {
-	var sum float64
-	n := 0
-	for n < total {
-		b := block
-		if b > total-n {
-			b = total - n
-		}
-		for j := 0; j < b; j++ {
-			if geom.RectCentered(issuer.Sample(rng), w, h).Contains(s) {
-				sum++
-			}
-		}
-		n += b
-		if n >= total || qp <= 0 {
-			continue
-		}
-		if p, done := mcbound.Decided(sum, sum, n, total, qp, delta); done {
-			return p, n, true
-		}
-	}
-	return clampProb(sum / float64(total)), total, false
-}
-
-// PointQualificationThreshold is PointQualificationBasic with adaptive
-// early termination against the probability threshold qp: it returns
-// the estimate, the issuer samples drawn, and whether a bound stopped
-// sampling before the full budget n. Block size and confidence follow
-// cfg (MCBlock / MCDelta); see ObjectEvalConfig.Adaptive for the
-// stopping rule.
-func PointQualificationThreshold(issuer pdf.PDF, s geom.Point, w, h, qp float64, n int, cfg ObjectEvalConfig, rng *rand.Rand) (float64, int, bool) {
-	cfg = cfg.withDefaults()
-	if rng == nil {
-		rng = cfg.Rng
-	}
-	if cfg.Adaptive != AdaptiveAuto {
-		qp = 0
-	}
-	return pointQualificationMCThreshold(issuer, s, w, h, qp, n, cfg.MCBlock, cfg.MCDelta, rng)
-}
-
 // ObjectQualificationBasic evaluates Equation 4 directly (§3.3): sample
 // the issuer's position n times; at each position integrate the
 // object's pdf over the overlap of its region with the range query
 // (Equation 3, exact via MassIn); average. The cost is n rectangle-mass
 // integrations per object regardless of how little of U0 matters,
-// which is what Figure 8 shows losing to the enhanced method.
-func ObjectQualificationBasic(issuer, obj pdf.PDF, w, h float64, n int, rng *rand.Rand) float64 {
-	p, _, _ := objectQualificationBasicThreshold(issuer, obj, w, h, 0, n, 0, 0, rng)
+// which is what Figure 8 shows losing to the enhanced method. The
+// samples come from the stream keyed by (seed, 0); see mcbound.Stream.
+func ObjectQualificationBasic(issuer, obj pdf.PDF, w, h float64, n int, seed int64) float64 {
+	p, _, _ := mcbound.Estimate(n, 0, 0, 0, objectMass(issuer, obj, w, h, mcbound.Stream(seed, 0)))
 	return p
 }
 
-// objectQualificationBasicThreshold is the basic (§3.3)
-// issuer-sampling loop with adaptive early termination against the
-// probability threshold qp — the same certainty / Hoeffding /
-// empirical-Bernstein stopping rule every other Monte-Carlo
-// refinement path applies (mcbound.Decided): the per-sample masses
-// lie in [0, 1], sampling runs in blocks of block, and for qp > 0 the
-// loop stops once a bound proves which side of qp the candidate falls
-// on. It returns the estimate, the issuer samples actually drawn, and
-// whether a bound terminated the loop early; qp <= 0 degenerates to
-// the full-budget ObjectQualificationBasic, consuming rng
-// identically.
-func objectQualificationBasicThreshold(issuer, obj pdf.PDF, w, h, qp float64, total, block int, delta float64, rng *rand.Rand) (float64, int, bool) {
-	if total <= 0 {
-		return 0, 0, false
-	}
-	if block <= 0 {
-		block = 64
-	}
-	if delta <= 0 {
-		delta = 1e-6
-	}
-	var sum, sumSq float64
-	n := 0
-	for n < total {
-		b := block
-		if b > total-n {
-			b = total - n
-		}
-		for j := 0; j < b; j++ {
-			v := obj.MassIn(geom.RectCentered(issuer.Sample(rng), w, h))
-			sum += v
-			sumSq += v * v
-		}
-		n += b
-		if n >= total || qp <= 0 {
-			continue
-		}
-		if p, done := mcbound.Decided(sum, sumSq, n, total, qp, delta); done {
-			return p, n, true
-		}
-	}
-	return clampProb(sum / float64(total)), total, false
-}
-
-// ObjectQualificationBasicThreshold is ObjectQualificationBasic with
-// adaptive early termination against the probability threshold qp:
-// it returns the estimate, the issuer samples drawn, and whether a
-// bound stopped sampling before the full budget n. Block size and
-// confidence follow cfg (MCBlock / MCDelta); see
-// ObjectEvalConfig.Adaptive for the stopping rule.
-func ObjectQualificationBasicThreshold(issuer, obj pdf.PDF, w, h, qp float64, n int, cfg ObjectEvalConfig, rng *rand.Rand) (float64, int, bool) {
-	cfg = cfg.withDefaults()
-	if rng == nil {
-		rng = cfg.Rng
-	}
-	if cfg.Adaptive != AdaptiveAuto {
-		qp = 0
-	}
-	return objectQualificationBasicThreshold(issuer, obj, w, h, qp, n, cfg.MCBlock, cfg.MCDelta, rng)
+// objectMass is the sample of the basic object estimator: the
+// object's mass in the range query formed at one issuer draw.
+func objectMass(issuer, obj pdf.PDF, w, h float64, rng *rand.Rand) func() float64 {
+	return func() float64 { return obj.MassIn(geom.RectCentered(issuer.Sample(rng), w, h)) }
 }
 
 // axisFactor computes the one-dimensional factor of Lemma 4 for one

@@ -69,7 +69,7 @@ func TestPointQualificationMatchesBasic(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			s := geom.Pt(50+rng.Float64()*300, 50+rng.Float64()*250)
 			exact := PointQualification(issuer, s, w, h)
-			mc := PointQualificationBasic(issuer, s, w, h, 60000, rng)
+			mc := PointQualificationBasic(issuer, s, w, h, 60000, int64(i))
 			if !approx(exact, mc, 0.012) {
 				t.Errorf("%s: point %v: duality %g vs basic MC %g", name, s, exact, mc)
 			}
@@ -115,7 +115,6 @@ func TestObjectQualificationClosedFormVsMC(t *testing.T) {
 				mc := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{
 					ForceMonteCarlo: true,
 					MCSamples:       60000,
-					Rng:             rng,
 				})
 				if !approx(exact, mc, 0.012) {
 					t.Errorf("%s/%s trial %d: closed form %g vs MC %g (w=%g h=%g region=%v)",
@@ -136,7 +135,7 @@ func TestObjectQualificationMatchesBasic(t *testing.T) {
 		obj := pdf.MustUniform(geom.RectCentered(c, 10+rng.Float64()*40, 10+rng.Float64()*40))
 		w, h := 30+rng.Float64()*80, 30+rng.Float64()*80
 		exact := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{})
-		basic := ObjectQualificationBasic(issuer, obj, w, h, 60000, rng)
+		basic := ObjectQualificationBasic(issuer, obj, w, h, 60000, int64(trial))
 		if !approx(exact, basic, 0.012) {
 			t.Errorf("trial %d: enhanced %g vs basic %g", trial, exact, basic)
 		}
@@ -157,10 +156,9 @@ func TestObjectQualificationNonSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(93))
 	w, h := 25.0, 25.0
-	got := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{MCSamples: 80000, Rng: rng})
-	want := ObjectQualificationBasic(issuer, obj, w, h, 80000, rng)
+	got := ObjectQualification(issuer, obj, w, h, ObjectEvalConfig{MCSamples: 80000})
+	want := ObjectQualificationBasic(issuer, obj, w, h, 80000, 93)
 	if !approx(got, want, 0.012) {
 		t.Fatalf("grid object: MC %g vs basic %g", got, want)
 	}

@@ -133,18 +133,20 @@ type Request struct {
 	// Range kinds must leave it zero.
 	NNSamples int
 	// Options tunes the evaluation (method, sampling, pruning,
-	// deadline, sample budget). Options.Rng is only consulted when
-	// Seed is zero.
+	// deadline, sample budget).
 	Options EvalOptions
 	// Workers fans per-request refinement out over a worker pool:
 	// surviving candidates of an uncertain range query, or NN
 	// candidates. <= 1 refines serially. Results are bit-identical at
 	// every worker count (per-candidate sample streams).
 	Workers int
-	// Seed, when non-zero, makes the request self-deterministic: the
-	// sampling source is derived from it, ignoring Options.Rng. Inside
-	// EvaluateAll a zero Seed is filled from AllOptions.Seed and the
-	// request's index.
+	// Seed is the request's only determinism input: every
+	// Monte-Carlo sample stream is keyed by it and by what it samples
+	// for (a candidate id, or an NN sample block), so a request
+	// evaluates bit-identically whichever worker or process runs it.
+	// Zero selects the fixed default streams, except inside
+	// EvaluateAll, which fills a zero Seed from AllOptions.Seed and
+	// the request's index.
 	Seed int64
 }
 
@@ -180,7 +182,7 @@ func (r Request) Validate() error {
 		if r.Issuer == nil {
 			return badRequest("issuer", ErrNilIssuer)
 		}
-		if r.W <= 0 || r.H <= 0 {
+		if !validExtent(r.W) || !validExtent(r.H) {
 			return badRequest("extent", fmt.Errorf("%w: w=%g h=%g", ErrBadExtents, r.W, r.H))
 		}
 		if r.K != 0 {
@@ -205,7 +207,7 @@ func (r Request) Validate() error {
 	default:
 		return badRequest("kind", fmt.Errorf("%w: %d", ErrBadKind, int(r.Kind)))
 	}
-	if r.Threshold < 0 || r.Threshold > 1 {
+	if !validThreshold(r.Threshold) {
 		return badRequest("threshold", fmt.Errorf("%w: %g", ErrBadThreshold, r.Threshold))
 	}
 	return nil
@@ -271,26 +273,20 @@ type Response struct {
 }
 
 // evaluateRequest validates and dispatches one request against this
-// state. A non-zero Seed replaces the sampling source so the request
-// is self-deterministic regardless of which worker or process runs it.
+// state.
 func (st *engineState) evaluateRequest(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
-	}
-	opts := req.Options
-	if req.Seed != 0 {
-		opts.Rng = newSeededRand(req.Seed)
-		opts.Object.Rng = opts.Rng
 	}
 	resp := Response{Kind: req.Kind, Version: st.version}
 	var err error
 	switch req.Kind {
 	case KindPoints:
-		resp.Result, err = st.evaluatePoints(ctx, req.query(), opts)
+		resp.Result, err = st.evaluatePoints(ctx, req.query(), req.Options, req.Seed)
 	case KindUncertain:
-		resp.Result, err = st.evaluateUncertain(ctx, req.query(), opts, req.Workers)
+		resp.Result, err = st.evaluateUncertain(ctx, req.query(), req.Options, req.Workers, req.Seed)
 	case KindNN:
-		resp.Result, err = st.evaluateNN(ctx, req, opts)
+		resp.Result, err = st.evaluateNN(ctx, req)
 	}
 	st.met.observe(req.Kind, resp, err)
 	if err != nil {
@@ -345,9 +341,7 @@ type AllOptions struct {
 	// Seed derives the sampling seed for requests whose own Seed is
 	// zero: request i receives deriveSeed(Seed, i), so every request
 	// has an independent deterministic stream no matter which worker
-	// serves it. Requests with a non-zero Seed keep it. Options.Rng is
-	// never consulted inside a fan-out (a shared source across
-	// goroutines would destroy reproducibility).
+	// serves it. Requests with a non-zero Seed keep it.
 	Seed int64
 }
 

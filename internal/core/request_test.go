@@ -32,9 +32,17 @@ func TestRequestValidationTable(t *testing.T) {
 		{"nn nil issuer", Request{Kind: KindNN, K: 1}, "issuer", ErrNilIssuer},
 		{"zero width", Request{Kind: KindUncertain, Issuer: iss, W: 0, H: 10}, "extent", ErrBadExtents},
 		{"negative height", Request{Kind: KindPoints, Issuer: iss, W: 10, H: -1}, "extent", ErrBadExtents},
+		{"NaN width", Request{Kind: KindUncertain, Issuer: iss, W: math.NaN(), H: 10}, "extent", ErrBadExtents},
+		{"NaN height", Request{Kind: KindPoints, Issuer: iss, W: 10, H: math.NaN()}, "extent", ErrBadExtents},
+		{"infinite width", Request{Kind: KindPoints, Issuer: iss, W: math.Inf(1), H: 10}, "extent", ErrBadExtents},
+		{"infinite height", Request{Kind: KindUncertain, Issuer: iss, W: 10, H: math.Inf(1)}, "extent", ErrBadExtents},
+		{"NaN extent on nn request", Request{Kind: KindNN, Issuer: iss, W: math.NaN(), K: 3}, "extent", ErrKindMismatch},
 		{"threshold below range", Request{Kind: KindUncertain, Issuer: iss, W: 10, H: 10, Threshold: -0.1}, "threshold", ErrBadThreshold},
 		{"threshold above range", Request{Kind: KindPoints, Issuer: iss, W: 10, H: 10, Threshold: 1.01}, "threshold", ErrBadThreshold},
 		{"nn threshold above range", Request{Kind: KindNN, Issuer: iss, K: 3, Threshold: 2}, "threshold", ErrBadThreshold},
+		{"NaN threshold", Request{Kind: KindUncertain, Issuer: iss, W: 10, H: 10, Threshold: math.NaN()}, "threshold", ErrBadThreshold},
+		{"NaN nn threshold", Request{Kind: KindNN, Issuer: iss, K: 3, Threshold: math.NaN()}, "threshold", ErrBadThreshold},
+		{"infinite threshold", Request{Kind: KindPoints, Issuer: iss, W: 10, H: 10, Threshold: math.Inf(1)}, "threshold", ErrBadThreshold},
 		{"k on uncertain request", Request{Kind: KindUncertain, Issuer: iss, W: 10, H: 10, K: 5}, "k", ErrKindMismatch},
 		{"k on points request", Request{Kind: KindPoints, Issuer: iss, W: 10, H: 10, K: 5}, "k", ErrKindMismatch},
 		{"nn samples on range request", Request{Kind: KindUncertain, Issuer: iss, W: 10, H: 10, NNSamples: 100}, "nn_samples", ErrKindMismatch},
@@ -99,20 +107,14 @@ func TestShimGoldenEquivalence(t *testing.T) {
 	e := testWorld(t, 400, 300, 4)
 	iss := testIssuer(t, geom.Pt(500, 500), 60)
 	q := Query{Issuer: iss, W: 150, H: 150, Threshold: 0.3}
-	mcOpts := func(seed int64) EvalOptions {
-		return EvalOptions{
-			Rng:    rand.New(rand.NewSource(seed)),
-			Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512},
-		}
-	}
+	mcOpts := EvalOptions{Object: ObjectEvalConfig{ForceMonteCarlo: true, MCSamples: 512}}
 
 	t.Run("points", func(t *testing.T) {
-		legacy, err := e.EvaluatePoints(q, EvalOptions{Rng: rand.New(rand.NewSource(9))})
+		legacy, err := e.EvaluatePoints(q, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := RequestPoints(iss, 150, 150, 0.3)
-		req.Options.Rng = rand.New(rand.NewSource(9))
 		resp, err := e.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -123,12 +125,12 @@ func TestShimGoldenEquivalence(t *testing.T) {
 	})
 
 	t.Run("uncertain-montecarlo", func(t *testing.T) {
-		legacy, err := e.EvaluateUncertain(q, mcOpts(9))
+		legacy, err := e.EvaluateUncertain(q, mcOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := RequestUncertain(iss, 150, 150, 0.3)
-		req.Options = mcOpts(9)
+		req.Options = mcOpts
 		resp, err := e.Evaluate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -142,17 +144,17 @@ func TestShimGoldenEquivalence(t *testing.T) {
 		// The old parallel entry point, the serial path, and a Request
 		// with Workers set must agree bit-exactly on identical seeds —
 		// parallel vs serial is just Request.Workers now.
-		serial, err := e.EvaluateUncertain(q, mcOpts(9))
+		serial, err := e.EvaluateUncertain(q, mcOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			legacy, err := e.EvaluateUncertainParallel(q, mcOpts(9), workers)
+			legacy, err := e.EvaluateUncertainParallel(q, mcOpts, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			req := RequestUncertain(iss, 150, 150, 0.3)
-			req.Options = mcOpts(9)
+			req.Options = mcOpts
 			req.Workers = workers
 			resp, err := e.Evaluate(context.Background(), req)
 			if err != nil {
@@ -179,11 +181,11 @@ func TestShimGoldenEquivalence(t *testing.T) {
 				Target: target,
 			})
 		}
-		legacy := e.EvaluateBatch(queries, mcOpts(9), 3)
+		legacy := e.EvaluateBatch(queries, mcOpts, 3)
 		// The shim's contract: query i runs as a Request seeded by the
 		// historical derivation — evaluating those requests one at a
 		// time must reproduce the batch bit-exactly.
-		reqs := batchRequests(queries, mcOpts(9))
+		reqs := batchRequests(queries, mcOpts)
 		for i, req := range reqs {
 			if legacy[i].Err != nil {
 				t.Fatalf("batch query %d: %v", i, legacy[i].Err)
@@ -198,7 +200,7 @@ func TestShimGoldenEquivalence(t *testing.T) {
 		}
 		// And the stream shim delivers the same results.
 		streamed := make([]Result, len(queries))
-		if err := e.EvaluateBatchStream(context.Background(), queries, mcOpts(9), 2, func(i int, br BatchResult) {
+		if err := e.EvaluateBatchStream(context.Background(), queries, mcOpts, 2, func(i int, br BatchResult) {
 			if br.Err != nil {
 				t.Errorf("stream query %d: %v", i, br.Err)
 			}

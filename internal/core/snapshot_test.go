@@ -59,7 +59,6 @@ func TestSnapshotOverlapFlood(t *testing.T) {
 				Adaptive:        AdaptiveOff,
 			},
 			MaxSamples: 1 << 40,
-			Rng:        rand.New(rand.NewSource(99)),
 		}
 	}
 
@@ -146,7 +145,7 @@ func TestSnapshotOverlapFlood(t *testing.T) {
 func TestSnapshotIsolation(t *testing.T) {
 	e := testWorld(t, 200, 200, 3)
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 40), W: 120, H: 120}
-	opts := func() EvalOptions { return EvalOptions{Rng: rand.New(rand.NewSource(5))} }
+	opts := func() EvalOptions { return EvalOptions{} }
 
 	snap := e.Snapshot()
 	defer snap.Close()
@@ -325,7 +324,6 @@ func TestBasicMethodAdaptive(t *testing.T) {
 				Method:       MethodBasic,
 				BasicSamples: 4096,
 				Object:       ObjectEvalConfig{Adaptive: mode},
-				Rng:          rand.New(rand.NewSource(17)),
 			}
 			var res Result
 			var err error
@@ -364,7 +362,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 		exact := func() Result {
 			var res Result
 			var err error
-			opts := EvalOptions{Rng: rand.New(rand.NewSource(23))}
+			opts := EvalOptions{}
 			if target == TargetPoints {
 				res, err = e.EvaluatePoints(q, opts)
 			} else {
@@ -409,7 +407,7 @@ func TestBasicMethodAdaptive(t *testing.T) {
 func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 	e := testWorld(t, 0, 2000, 13)
 	q := Query{Issuer: testIssuer(t, geom.Pt(500, 500), 50), W: 120, H: 120, Threshold: 0.3}
-	opts := func() EvalOptions { return EvalOptions{Rng: rand.New(rand.NewSource(31))} }
+	opts := func() EvalOptions { return EvalOptions{} }
 
 	snap := e.Snapshot()
 	defer snap.Close()
@@ -461,21 +459,20 @@ func TestSnapshotConcurrentWriterFlood(t *testing.T) {
 	var readerWG sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		readerWG.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer readerWG.Done()
-			rng := rand.New(rand.NewSource(seed))
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := e.EvaluateUncertain(q, EvalOptions{Rng: rng}); err != nil {
+				if _, err := e.EvaluateUncertain(q, EvalOptions{}); err != nil {
 					fail("live read: " + err.Error())
 					return
 				}
 			}
-		}(200 + int64(r))
+		}()
 	}
 	wg.Wait()
 	close(stop)
@@ -569,7 +566,7 @@ func TestSnapshotMaxAgeForcedClose(t *testing.T) {
 	if st.RetiredNodes != 0 || st.Pins != 0 {
 		t.Fatalf("forced close did not release the pin: %+v", st)
 	}
-	if _, err := leak.EvaluateUncertain(q, EvalOptions{Rng: rng}); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := leak.EvaluateUncertain(q, EvalOptions{}); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("evaluation through force-closed snapshot: %v", err)
 	}
 	// The user's own (late) Close must not double-release.
@@ -585,7 +582,7 @@ func TestSnapshotMaxAgeForcedClose(t *testing.T) {
 	if rep := e.ApplyUpdates(makeUpdateBatch(t, e, rng, 8)); len(rep.Errors) > 0 {
 		t.Fatal(rep.Errors[0])
 	}
-	if _, err := leak2.EvaluateUncertain(q, EvalOptions{Rng: rng}); !errors.Is(err, ErrSnapshotClosed) {
+	if _, err := leak2.EvaluateUncertain(q, EvalOptions{}); !errors.Is(err, ErrSnapshotClosed) {
 		t.Fatalf("publish-path sweep missed the aged snapshot: %v", err)
 	}
 	if st := e.SnapshotStats(); st.ForcedCloses != 2 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -35,12 +34,12 @@ func TestEvaluateBatchStreamMatchesBatch(t *testing.T) {
 	for name, e := range map[string]*Engine{"mem": mem, "paged": paged} {
 		e := e
 		t.Run(name, func(t *testing.T) {
-			want := e.EvaluateBatch(batch, EvalOptions{Rng: rand.New(rand.NewSource(88))}, 1)
+			want := e.EvaluateBatch(batch, EvalOptions{}, 1)
 			for _, workers := range []int{1, 4} {
 				got := make([]BatchResult, len(batch))
 				seen := make([]bool, len(batch))
 				err := e.EvaluateBatchStream(context.Background(), batch,
-					EvalOptions{Rng: rand.New(rand.NewSource(88))}, workers,
+					EvalOptions{}, workers,
 					func(i int, br BatchResult) {
 						if seen[i] {
 							t.Errorf("query %d delivered twice", i)

@@ -86,3 +86,50 @@ func TestDecidedAgreesWithTruth(t *testing.T) {
 		}
 	}
 }
+
+// A stream is a pure function of (seed, key): equal keys replay the
+// same draws, and a different seed or key gives a different stream.
+func TestStreamKeyed(t *testing.T) {
+	draws := func(seed int64, key uint64) [4]float64 {
+		r := Stream(seed, key)
+		return [4]float64{r.Float64(), r.Float64(), r.NormFloat64(), float64(r.Intn(1000))}
+	}
+	if draws(9, 3) != draws(9, 3) {
+		t.Fatal("one key produced two streams")
+	}
+	if draws(9, 3) == draws(9, 4) || draws(9, 3) == draws(10, 3) {
+		t.Fatal("distinct keys share a stream")
+	}
+}
+
+// Estimate draws the full budget when there is no threshold to
+// decide, stops early on a clear-cut one, and sums in draw order.
+func TestEstimate(t *testing.T) {
+	r := Stream(1, 0)
+	var vals []float64
+	draw := func() float64 {
+		v := r.Float64() * 0.1
+		vals = append(vals, v)
+		return v
+	}
+	p, n, early := Estimate(1000, 64, 0, 1e-6, draw)
+	if n != 1000 || early || len(vals) != 1000 {
+		t.Fatalf("qp=0: drew %d (reported %d, early %v), want the full 1000", len(vals), n, early)
+	}
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	if p != sum/1000 {
+		t.Fatalf("estimate %v != mean of the draws %v", p, sum/1000)
+	}
+
+	vals = vals[:0]
+	p, n, early = Estimate(1000, 64, 0.5, 1e-6, draw)
+	if !early || n >= 1000 || n%64 != 0 || len(vals) != n || p >= 0.5 {
+		t.Fatalf("clear-cut reject: p=%v n=%d early=%v drawn=%d", p, n, early, len(vals))
+	}
+	if p, n, _ := Estimate(0, 64, 0.5, 1e-6, draw); p != 0 || n != 0 {
+		t.Fatalf("empty budget: p=%v n=%d", p, n)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mcbound"
 	"repro/internal/uncertain"
 )
 
@@ -18,15 +19,15 @@ type Config struct {
 	Workers int
 	// Options are the default evaluation options, applied to standing
 	// requests registered with a zero Options field; a request
-	// carrying its own Options keeps them. Rng (and Object.Rng) and
-	// Request.Seed are ignored either way: the monitor derives a
-	// deterministic sampling seed per re-evaluation pass from Seed, so
+	// carrying its own Options keeps them. Request.Seed is ignored
+	// either way: the monitor derives a deterministic sampling seed
+	// per re-evaluation pass from Seed, so
 	// a fixed engine, registration order, and update trace replay the
 	// same delta streams. Timeout and MaxSamples act per re-evaluated
 	// request, surfacing as Delta.Err without disturbing the cached
 	// set.
 	Options core.EvalOptions
-	// Seed drives the derived sampling sources (default 1).
+	// Seed drives the derived per-pass request seeds (default 1).
 	Seed int64
 	// MaxPending bounds each subscription's queued deltas. When a
 	// slow consumer lets the queue reach the bound, the queue is
@@ -46,8 +47,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPending == 0 {
 		c.MaxPending = 64
 	}
-	c.Options.Rng = nil
-	c.Options.Object.Rng = nil
 	return c
 }
 
@@ -129,38 +128,23 @@ func New(eng *core.Engine, cfg Config) *Monitor {
 // Engine returns the engine the monitor serves.
 func (m *Monitor) Engine() *core.Engine { return m.eng }
 
-// splitmix64 is the SplitMix64 finalizer. The monitor only mixes seeds
-// for the parent source handed to each evaluation pass; the engine
-// derives its own per-query and per-candidate streams from that parent
-// (see core's deriveSeed), so the two mixers never need to agree.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // mixSeed folds the given values into one derived seed.
 func mixSeed(vals ...int64) int64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vals {
-		h = splitmix64(h ^ splitmix64(uint64(v)))
+		h = mcbound.Mix64(h ^ mcbound.Mix64(uint64(v)))
 	}
 	return int64(h)
 }
 
-// normalize prepares a request for standing evaluation: the sampling
-// controls the monitor owns (Request.Seed, Options.Rng) are cleared
-// first — every pass re-derives them from the monitor seed and the
-// pass key — and Options that are then zero pick up the monitor's
-// defaults, so a request carrying only an (ignored) Rng still gets
-// the configured deadline and sample budget.
+// normalize prepares a request for standing evaluation: Request.Seed,
+// which the monitor owns, is cleared — every pass re-derives it from
+// the monitor seed and the pass key — and zero Options pick up the
+// monitor's defaults.
 func (m *Monitor) normalize(req core.Request) core.Request {
 	req.Seed = 0
-	req.Options.Rng = nil
-	req.Options.Object.Rng = nil
 	if req.Options == (core.EvalOptions{}) {
-		req.Options = m.cfg.Options // withDefaults already cleared its Rngs
+		req.Options = m.cfg.Options
 	}
 	return req
 }

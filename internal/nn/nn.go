@@ -21,10 +21,10 @@
 //
 // Refinement draws ONE issuer-position stream shared by every
 // candidate: sample index s belongs to block b = s/BlockSize, and
-// block b's positions come from a generator seeded by (parent seed,
-// b) — splitmix-derived, so the position at any index is a pure
-// function of the parent seed, independent of candidate count, worker
-// count, and scheduling. Each sampled position is resolved to its
+// block b's positions come from the stream keyed by (seed, b) (see
+// mcbound.Stream), so the position at any index is a pure function of
+// the seed, independent of candidate count, worker count, and
+// scheduling. Each sampled position is resolved to its
 // nearest candidate in a single pass and tallied as one integer win;
 // a candidate's probability is wins/samples. Consequences:
 //
@@ -62,7 +62,6 @@ package nn
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,7 +100,7 @@ var ErrNoObjects = errors.New("nn: no objects to query")
 const DefaultSamples = 1000
 
 // DefaultBlock is the number of consecutive sample indexes per seed
-// block: block b of the stream is generated from (parent, b). Blocks
+// block: block b of the stream is generated from (seed, b). Blocks
 // are the unit of worker scheduling and cancellation polling.
 const DefaultBlock = 128
 
@@ -110,22 +109,6 @@ const DefaultBlock = 128
 // round). Rounds are fixed sample counts — never a function of the
 // worker count — so retirement decisions are scheduling-independent.
 const DefaultRoundBlocks = 16
-
-// splitmix64 is the SplitMix64 finalizer (the same child-seed mixer
-// the core engine uses; the two need not agree, but sharing the
-// construction keeps the determinism story uniform).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed maps one parent seed and a child index (here: a sample
-// block number) to a collision-free child seed.
-func deriveSeed(parent int64, child int) int64 {
-	return int64(splitmix64(uint64(parent) + splitmix64(uint64(child))))
-}
 
 // Prune applies the MinDist/MaxDist bound: tau is the smallest
 // maximum distance any object has to u0 (some object is always within
@@ -162,7 +145,7 @@ type RefineConfig struct {
 	// Adaptive enables early termination against Threshold.
 	Adaptive bool
 	// Block is the samples-per-seed-block granule (<= 0 selects
-	// DefaultBlock). Positions in block b derive from (parent, b), so
+	// DefaultBlock). Positions in block b derive from (seed, b), so
 	// changing Block changes the stream; it is part of the seed
 	// schedule, not a tuning knob to vary per call.
 	Block int
@@ -229,7 +212,7 @@ type RefineStats struct {
 
 // Refine estimates, for each candidate, the probability that it is the
 // issuer's nearest neighbor among cands, by tallying nearest-candidate
-// wins over one shared issuer-position stream derived from parent (see
+// wins over one shared issuer-position stream keyed by seed (see
 // the package documentation for the determinism contract). It returns
 // one probability per candidate, in input order. Ties on sampled
 // distance break toward the lower slice index, deterministically.
@@ -237,7 +220,7 @@ type RefineStats struct {
 // On error (cancellation, or an issuer sampling failure surfaced
 // through Cancel) the partial probabilities are returned along with
 // the error; the first error by stream position wins when workers race.
-func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg RefineConfig) ([]float64, RefineStats, error) {
+func Refine(cands []uncertain.PointObject, issuer pdf.PDF, seed int64, cfg RefineConfig) ([]float64, RefineStats, error) {
 	cfg = cfg.withDefaults()
 	n := len(cands)
 	probs := make([]float64, n)
@@ -248,7 +231,7 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 
 	k := &kernel{
 		issuer:  issuer,
-		parent:  parent,
+		seed:    seed,
 		block:   cfg.Block,
 		samples: cfg.Samples,
 		xs:      make([]float64, n),
@@ -334,7 +317,7 @@ func Refine(cands []uncertain.PointObject, issuer pdf.PDF, parent int64, cfg Ref
 // walks flat float64 arrays.
 type kernel struct {
 	issuer  pdf.PDF
-	parent  int64
+	seed    int64
 	block   int
 	samples int
 	xs, ys  []float64
@@ -351,11 +334,11 @@ type kernel struct {
 	blockers []int
 }
 
-// scanBlock draws block b's samples from (parent, b) and tallies
+// scanBlock draws block b's samples from (seed, b) and tallies
 // nearest-candidate wins into tal (len(cands)-sized; either the merged
 // wins vector in serial mode or a worker-private vector).
 func (k *kernel) scanBlock(b int, tal []int64) {
-	rng := rand.New(rand.NewSource(deriveSeed(k.parent, b)))
+	rng := mcbound.Stream(k.seed, uint64(b))
 	lo := b * k.block
 	hi := lo + k.block
 	if hi > k.samples {
@@ -463,26 +446,23 @@ func (k *kernel) runRound(b0, b1, workers int, cancel func() error) error {
 
 // Evaluate computes nearest-neighbor qualification probabilities for
 // the issuer pdf over the given point objects. samples <= 0 selects a
-// DefaultSamples-long shared stream. A nil rng gets a fixed seed,
-// making results reproducible; the rng contributes only one parent
-// draw (the block streams are derived from it and the block index).
+// DefaultSamples-long shared stream. The stream is keyed by seed and
+// the block index (see Refine), so a fixed seed reproduces the result
+// exactly.
 //
 // Applications holding an engine should prefer evaluating a
 // core.Request of kind KindNN — it prunes candidates through the
 // engine's R-tree and observes one MVCC snapshot. Evaluate is the
 // engine-less path for slice-based callers.
-func Evaluate(points []uncertain.PointObject, issuer pdf.PDF, samples int, rng *rand.Rand) (Result, error) {
+func Evaluate(points []uncertain.PointObject, issuer pdf.PDF, samples int, seed int64) (Result, error) {
 	if len(points) == 0 {
 		return Result{}, ErrNoObjects
 	}
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	cands := Prune(points, issuer.Support())
-	probs, _, _ := Refine(cands, issuer, rng.Int63(), RefineConfig{Samples: samples})
+	probs, _, _ := Refine(cands, issuer, seed, RefineConfig{Samples: samples})
 
 	res := Result{Candidates: len(cands), Samples: samples}
 	for i, p := range probs {
@@ -512,8 +492,8 @@ func sortMatches(ms []Match) {
 // core.Request of kind KindNN with Threshold set — the engine path
 // also retires decided candidates early; this slice-based form draws
 // the full stream.
-func EvaluateThreshold(points []uncertain.PointObject, issuer pdf.PDF, qp float64, samples int, rng *rand.Rand) (Result, error) {
-	res, err := Evaluate(points, issuer, samples, rng)
+func EvaluateThreshold(points []uncertain.PointObject, issuer pdf.PDF, qp float64, samples int, seed int64) (Result, error) {
+	res, err := Evaluate(points, issuer, samples, seed)
 	if err != nil {
 		return Result{}, err
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestEvaluateEmpty(t *testing.T) {
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(0, 0), 1, 1))
-	if _, err := Evaluate(nil, issuer, 100, nil); err != ErrNoObjects {
+	if _, err := Evaluate(nil, issuer, 100, 0); err != ErrNoObjects {
 		t.Fatalf("expected ErrNoObjects, got %v", err)
 	}
 }
@@ -22,7 +22,7 @@ func TestEvaluateEmpty(t *testing.T) {
 func TestSingleObjectAlwaysWins(t *testing.T) {
 	issuer := pdf.MustUniform(geom.RectCentered(geom.Pt(50, 50), 10, 10))
 	pts := []uncertain.PointObject{{ID: 7, Loc: geom.Pt(80, 80)}}
-	res, err := Evaluate(pts, issuer, 500, nil)
+	res, err := Evaluate(pts, issuer, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDominatedObjectPruned(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(1, 1)},
 		{ID: 2, Loc: geom.Pt(1000, 1000)},
 	}
-	res, err := Evaluate(pts, issuer, 800, nil)
+	res, err := Evaluate(pts, issuer, 800, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,7 @@ func TestSymmetricPairSplits(t *testing.T) {
 		{ID: 1, Loc: geom.Pt(-30, 0)},
 		{ID: 2, Loc: geom.Pt(30, 0)},
 	}
-	rng := rand.New(rand.NewSource(5))
-	res, err := Evaluate(pts, issuer, 40000, rng)
+	res, err := Evaluate(pts, issuer, 40000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +83,7 @@ func TestAgainstExact1D(t *testing.T) {
 	for i, x := range xs {
 		pts = append(pts, uncertain.PointObject{ID: uncertain.ID(i), Loc: geom.Pt(x, 50)})
 	}
-	rng := rand.New(rand.NewSource(6))
-	res, err := Evaluate(pts, issuer, 60000, rng)
+	res, err := Evaluate(pts, issuer, 60000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +130,7 @@ func TestEvaluateThreshold(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(5, 0)},
 		{ID: 3, Loc: geom.Pt(0, 14)}, // occasionally nearest
 	}
-	rng := rand.New(rand.NewSource(7))
-	res, err := EvaluateThreshold(pts, issuer, 0.25, 20000, rng)
+	res, err := EvaluateThreshold(pts, issuer, 0.25, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,12 +158,11 @@ func TestGaussianIssuerConcentrates(t *testing.T) {
 		{ID: 2, Loc: geom.Pt(25, 25)},  // corner
 		{ID: 3, Loc: geom.Pt(-25, 25)}, // corner
 	}
-	rng := rand.New(rand.NewSource(8))
-	resG, err := Evaluate(pts, gauss, 20000, rng)
+	resG, err := Evaluate(pts, gauss, 20000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resU, err := Evaluate(pts, uni, 20000, rng)
+	resU, err := Evaluate(pts, uni, 20000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +192,7 @@ func TestProbabilitiesSumToExactlyOne(t *testing.T) {
 			Loc: geom.Pt(rng.Float64()*1000, rng.Float64()*1000),
 		})
 	}
-	res, err := Evaluate(pts, issuer, 30000, rng)
+	res, err := Evaluate(pts, issuer, 30000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

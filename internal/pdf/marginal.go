@@ -11,6 +11,7 @@ import (
 // Errors returned by marginal constructors.
 var (
 	ErrEmptySupport = errors.New("pdf: empty support interval")
+	ErrNonFinite    = errors.New("pdf: support interval width is not finite")
 	ErrBadSigma     = errors.New("pdf: sigma must be positive")
 	ErrBadWeights   = errors.New("pdf: weights must be non-negative with positive sum")
 )
@@ -24,10 +25,24 @@ type UniformMarginal struct {
 // A degenerate interval (lo == hi) is allowed and behaves as a point
 // mass, which arises for point objects viewed as zero-extent regions.
 func NewUniformMarginal(lo, hi float64) (*UniformMarginal, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("%w: [%g, %g]", ErrEmptySupport, lo, hi)
+	if err := checkInterval(lo, hi); err != nil {
+		return nil, err
 	}
 	return &UniformMarginal{lo: lo, hi: hi}, nil
+}
+
+// checkInterval rejects a support interval [lo, hi] that is empty or
+// whose width is not finite (an infinite or NaN bound, or finite bounds
+// so far apart that hi−lo overflows): densities over it would be 0 or
+// NaN everywhere.
+func checkInterval(lo, hi float64) error {
+	switch w := hi - lo; {
+	case hi < lo:
+		return fmt.Errorf("%w: [%g, %g]", ErrEmptySupport, lo, hi)
+	case math.IsNaN(w) || math.IsInf(w, 0):
+		return fmt.Errorf("%w: [%g, %g]", ErrNonFinite, lo, hi)
+	}
+	return nil
 }
 
 // Bounds implements Marginal.
@@ -100,10 +115,13 @@ type TruncNormalMarginal struct {
 
 // NewTruncNormalMarginal builds a truncated normal marginal.
 func NewTruncNormalMarginal(lo, hi, mu, sigma float64) (*TruncNormalMarginal, error) {
-	if hi <= lo {
+	if err := checkInterval(lo, hi); err != nil {
+		return nil, err
+	}
+	if hi == lo {
 		return nil, fmt.Errorf("%w: [%g, %g]", ErrEmptySupport, lo, hi)
 	}
-	if sigma <= 0 {
+	if !(sigma > 0) {
 		return nil, fmt.Errorf("%w: %g", ErrBadSigma, sigma)
 	}
 	cdfLo := stdNormalCDF((lo - mu) / sigma)

@@ -1,6 +1,7 @@
 package pdf
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,6 +35,11 @@ func TestUniformMarginalBasics(t *testing.T) {
 func TestUniformMarginalRejectsInverted(t *testing.T) {
 	if _, err := NewUniformMarginal(5, 4); err == nil {
 		t.Fatal("inverted interval accepted")
+	}
+	for _, iv := range [][2]float64{{-1.7e308, 1.7e308}, {0, math.Inf(1)}, {math.NaN(), 1}} {
+		if _, err := NewUniformMarginal(iv[0], iv[1]); !errors.Is(err, ErrNonFinite) {
+			t.Fatalf("interval %v: err %v, want ErrNonFinite", iv, err)
+		}
 	}
 }
 
@@ -113,6 +119,12 @@ func TestTruncNormalRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewTruncNormalMarginal(0, 1, 0.5, -2); err == nil {
 		t.Fatal("negative sigma accepted")
+	}
+	if _, err := NewTruncNormalMarginal(0, 1, 0.5, math.NaN()); err == nil {
+		t.Fatal("NaN sigma accepted")
+	}
+	if _, err := NewTruncNormalMarginal(-1.7e308, 1.7e308, 0, 1); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("overflowing interval: err %v, want ErrNonFinite", err)
 	}
 }
 

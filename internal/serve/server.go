@@ -523,50 +523,54 @@ func (s *Server) topSubscriptions() []*monitor.Subscription {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON encodes v as the response body. An encode/write failure
+// The HTTP helpers below are shared by the server and the fleet
+// router's front (internal/shard), so both speak one error shape.
+
+// WriteJSON encodes v as the response body. An encode/write failure
 // here means the client is gone (or the value is unencodable — a bug
-// caught by tests), so it is logged at debug rather than surfaced.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// caught by tests), so it is logged to log at debug rather than
+// surfaced.
+func WriteJSON(log *slog.Logger, w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Debug("response write failed", "err", err)
+		log.Debug("response write failed", "err", err)
 	}
 }
 
-// writeError reports an error as JSON. Request-validation failures
+// WriteError reports an error as JSON. Request-validation failures
 // carry the offending Request field so clients can see exactly what
 // to fix ({"error": ..., "field": ...}).
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+func WriteError(log *slog.Logger, w http.ResponseWriter, status int, err error) {
 	body := map[string]string{"error": err.Error()}
 	var reqErr *core.RequestError
 	if errors.As(err, &reqErr) {
 		body["field"] = reqErr.Field
 	}
-	s.writeJSON(w, status, body)
+	WriteJSON(log, w, status, body)
 }
 
-// writeRequestError maps an evaluation error to a status: malformed
+// WriteRequestError maps an evaluation error to a status: malformed
 // requests (typed *core.RequestError) and budget refusals (the
 // request asked for more Monte-Carlo work than the server allows) are
 // the client's fault (400), anything else the server's (500).
-func (s *Server) writeRequestError(w http.ResponseWriter, err error) {
+func WriteRequestError(log *slog.Logger, w http.ResponseWriter, err error) {
 	var reqErr *core.RequestError
 	if errors.As(err, &reqErr) {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(log, w, http.StatusBadRequest, err)
 		return
 	}
 	if errors.Is(err, core.ErrSampleBudget) {
-		s.writeError(w, http.StatusBadRequest,
+		WriteError(log, w, http.StatusBadRequest,
 			fmt.Errorf("%w (shrink the issuer region or nn_samples, or raise the server's -max-samples)", err))
 		return
 	}
-	s.writeError(w, http.StatusInternalServerError, err)
+	WriteError(log, w, http.StatusInternalServerError, err)
 }
 
-// decodeBody decodes a JSON body, rejecting unknown fields — a typo
+// DecodeBody decodes a JSON body, rejecting unknown fields — a typo
 // in a request must fail loudly, not be silently ignored.
-func decodeBody(r *http.Request, v any) error {
+func DecodeBody(r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
@@ -577,13 +581,13 @@ func decodeBody(r *http.Request, v any) error {
 // returned alongside for serve-only fields (trace).
 func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (RequestJSON, core.Request, bool) {
 	var rj RequestJSON
-	if err := decodeBody(r, &rj); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := DecodeBody(r, &rj); err != nil {
+		WriteError(s.log, w, http.StatusBadRequest, err)
 		return rj, core.Request{}, false
 	}
 	req, err := rj.ToRequest()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(s.log, w, http.StatusBadRequest, err)
 		return rj, core.Request{}, false
 	}
 	// Requests carrying no options of their own inherit the
@@ -615,7 +619,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.mon.Engine().Evaluate(ctx, req)
 	if err != nil {
-		s.writeRequestError(w, err)
+		WriteRequestError(s.log, w, err)
 		return
 	}
 	s.observeSlow(rid, req, resp, tr)
@@ -629,7 +633,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		body.Trace = toTraceJSON(tr)
 	}
-	s.writeJSON(w, http.StatusOK, body)
+	WriteJSON(s.log, w, http.StatusOK, body)
 }
 
 // observeSlow counts and (sampled) logs one-shot evaluations slower
@@ -682,10 +686,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := s.mon.Register(req)
 	if err != nil {
-		s.writeRequestError(w, err)
+		WriteRequestError(s.log, w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, RegisterResponse{
+	WriteJSON(s.log, w, http.StatusCreated, RegisterResponse{
 		ID:       sub.ID(),
 		Kind:     sub.Request().Kind.String(),
 		Snapshot: ToMatchesJSON(sub.Snapshot()),
@@ -695,12 +699,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) subscription(w http.ResponseWriter, r *http.Request) (*monitor.Subscription, bool) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
+		WriteError(s.log, w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
 		return nil, false
 	}
 	sub, ok := s.mon.Subscription(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("no standing query %d", id))
+		WriteError(s.log, w, http.StatusNotFound, fmt.Errorf("no standing query %d", id))
 		return nil, false
 	}
 	return sub, true
@@ -713,7 +717,7 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := sub.Stats()
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(s.log, w, http.StatusOK, map[string]any{
 		"id":       sub.ID(),
 		"snapshot": ToMatchesJSON(sub.Snapshot()),
 		"stats": map[string]any{
@@ -779,15 +783,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // POST /v1/updates — ingest one update batch.
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	var body UpdatesRequest
-	if err := decodeBody(r, &body); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := DecodeBody(r, &body); err != nil {
+		WriteError(s.log, w, http.StatusBadRequest, err)
 		return
 	}
 	batch := make([]core.Update, len(body.Updates))
 	for i, uj := range body.Updates {
 		u, err := uj.ToUpdate()
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("update %d: %w", i, err))
+			WriteError(s.log, w, http.StatusBadRequest, fmt.Errorf("update %d: %w", i, err))
 			return
 		}
 		batch[i] = u
@@ -798,7 +802,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	// stale until the next batch.
 	out, err := s.mon.ApplyUpdates(context.WithoutCancel(r.Context()), batch)
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
+		WriteError(s.log, w, http.StatusInternalServerError, err)
 		return
 	}
 	resp := UpdatesResponse{
@@ -815,7 +819,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	for _, e := range out.Report.Errors {
 		resp.Errors = append(resp.Errors, e.Error())
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(s.log, w, http.StatusOK, resp)
 }
 
 // GET /metrics — the registry's Prometheus text exposition: engine
@@ -840,13 +844,13 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 	case errors.Is(err, core.ErrEphemeral):
-		s.writeError(w, http.StatusConflict, err)
+		WriteError(s.log, w, http.StatusConflict, err)
 		return
 	default:
-		s.writeError(w, http.StatusInternalServerError, err)
+		WriteError(s.log, w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(s.log, w, http.StatusOK, map[string]any{
 		"version":              info.Version,
 		"skipped":              info.Skipped,
 		"duration_ms":          float64(info.Duration.Nanoseconds()) / 1e6,
@@ -883,5 +887,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp["recovery_ms"] = float64(ds.RecoveryTime.Nanoseconds()) / 1e6
 		resp["wal_segments"] = ds.WAL.Segments
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(s.log, w, http.StatusOK, resp)
 }

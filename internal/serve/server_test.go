@@ -212,6 +212,9 @@ func TestServeInvalidRequests(t *testing.T) {
 		{"nn with extents", `{"kind": "nn", "issuer": {"region": [0, 0, 10, 10]}, "w": 5, "h": 5, "k": 3}`, "extent"},
 		{"k on range kind", `{"issuer": {"region": [0, 0, 10, 10]}, "w": 5, "h": 5, "k": 3}`, "k"},
 		{"bad issuer region", `{"issuer": {"region": [0, 0, 10]}, "w": 5, "h": 5}`, "issuer"},
+		{"overflowing issuer width", `{"issuer": {"region": [-1.7e308, 0, 1.7e308, 10]}, "w": 5, "h": 5}`, "issuer"},
+		{"overflowing gaussian issuer", `{"issuer": {"region": [-1.7e308, -1.7e308, 1.7e308, 1.7e308], "pdf": "gaussian"}, "w": 5, "h": 5}`, "issuer"},
+		{"overflowing nn issuer height", `{"kind": "nn", "issuer": {"region": [0, -1.7e308, 10, 1.7e308]}, "k": 1}`, "issuer"},
 	}
 	for _, path := range []string{"/v1/evaluate", "/v1/queries"} {
 		for _, tc := range cases {
@@ -226,6 +229,12 @@ func TestServeInvalidRequests(t *testing.T) {
 				t.Fatalf("%s %s: empty error message: %v", path, tc.name, body)
 			}
 		}
+	}
+	// Object regions in updates go through the same pdf constructors.
+	status, body := postRaw(t, ts.URL+"/v1/updates", `{"updates": [
+		{"op": "upsert_object", "id": 7, "region": [-1.7e308, 0, 1.7e308, 10]}]}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("upsert_object with overflowing region: HTTP %d (%v), want 400", status, body)
 	}
 }
 

@@ -118,13 +118,13 @@ const maxNNCandidateLimit = 1 << 16
 // POST /v1/nn/candidates — NN candidate collection for a fleet router.
 func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 	var body NNCandidatesRequest
-	if err := decodeBody(r, &body); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	if err := DecodeBody(r, &body); err != nil {
+		WriteError(s.log, w, http.StatusBadRequest, err)
 		return
 	}
 	req, err := body.Request.ToRequest()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		WriteError(s.log, w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Options == (core.EvalOptions{}) {
@@ -141,7 +141,7 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 		Limit:    limit,
 	})
 	if err != nil {
-		s.writeRequestError(w, err)
+		WriteRequestError(s.log, w, err)
 		return
 	}
 	resp := NNCandidatesResponse{
@@ -157,7 +157,7 @@ func (s *Server) handleNNCandidates(w http.ResponseWriter, r *http.Request) {
 	for i, c := range set.Candidates {
 		resp.Candidates[i] = NNCandidateJSON{ID: int64(c.ID), X: c.Loc[0], Y: c.Loc[1]}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	WriteJSON(s.log, w, http.StatusOK, resp)
 }
 
 // Engine exposes the served engine (cluster harnesses and tests).

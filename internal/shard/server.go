@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -41,97 +39,61 @@ func NewServer(r *Router) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone
-}
-
-// writeError mirrors the single-server error shape: {"error": ...}
-// plus "field" for request-validation failures.
-func writeError(w http.ResponseWriter, status int, err error) {
-	body := map[string]string{"error": err.Error()}
-	var reqErr *core.RequestError
-	if errors.As(err, &reqErr) {
-		body["field"] = reqErr.Field
-	}
-	writeJSON(w, status, body)
-}
-
-func writeRequestError(w http.ResponseWriter, err error) {
-	var reqErr *core.RequestError
-	if errors.As(err, &reqErr) {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if errors.Is(err, core.ErrSampleBudget) {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeError(w, http.StatusInternalServerError, err)
-}
-
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var rj serve.RequestJSON
-	if err := decodeBody(r, &rj); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(r, &rj); err != nil {
+		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
 		return
 	}
 	resp, err := s.r.Evaluate(r.Context(), rj)
 	if err != nil {
-		writeRequestError(w, err)
+		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(s.r.log, w, http.StatusOK, resp)
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	var body serve.UpdatesRequest
-	if err := decodeBody(r, &body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(r, &body); err != nil {
+		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
 		return
 	}
 	// Route regardless of the client connection: the shard batches
 	// commit either way, and the ownership cache must track them.
 	resp, err := s.r.ApplyUpdates(context.WithoutCancel(r.Context()), body)
 	if err != nil {
-		writeRequestError(w, err)
+		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(s.r.log, w, http.StatusOK, resp)
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var rj serve.RequestJSON
-	if err := decodeBody(r, &rj); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := serve.DecodeBody(r, &rj); err != nil {
+		serve.WriteError(s.r.log, w, http.StatusBadRequest, err)
 		return
 	}
 	resp, miss, err := s.r.Register(r.Context(), rj)
 	if err != nil {
-		writeRequestError(w, err)
+		serve.WriteRequestError(s.r.log, w, err)
 		return
 	}
 	if miss != nil {
 		s.r.log.Warn("standing query registered on a partial fleet", "id", resp.ID, "missing", miss)
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	serve.WriteJSON(s.r.log, w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
+		serve.WriteError(s.r.log, w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
 		return
 	}
 	if err := s.r.Deregister(r.Context(), id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		serve.WriteError(s.r.log, w, http.StatusNotFound, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -147,12 +109,12 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
+		serve.WriteError(s.r.log, w, http.StatusBadRequest, fmt.Errorf("bad query id: %w", err))
 		return
 	}
 	sub, ok := s.r.Subscription(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no standing query %d", id))
+		serve.WriteError(s.r.log, w, http.StatusNotFound, fmt.Errorf("no standing query %d", id))
 		return
 	}
 	flusher, canFlush := w.(http.Flusher)
@@ -266,5 +228,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rep.Status != "ok" {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, rep)
+	serve.WriteJSON(s.r.log, w, status, rep)
 }

@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
@@ -334,15 +332,6 @@ const (
 	OpDeleteObject = core.OpDeleteObject
 )
 
-// GuardRegion returns the standing-query guard region for q: the
-// prepared plan's index probe region. An update batch whose dirty
-// rectangles miss it provably leaves q's result unchanged — the
-// filter the continuous-query monitor applies. For the Request form
-// (NN included) use Request.GuardRegion.
-func GuardRegion(q Query, opts EvalOptions) (Rect, error) {
-	return core.GuardRegion(q, opts)
-}
-
 // Continuous-query monitoring re-exports (package internal/monitor).
 type (
 	// Monitor serves standing queries over an engine under a stream
@@ -407,23 +396,23 @@ type (
 )
 
 // EvaluateNN computes nearest-neighbor qualification probabilities
-// over a raw point slice for an imprecise issuer.
+// over a raw point slice for an imprecise issuer, reproducibly per seed.
 //
 // Applications holding an Engine should prefer evaluating a
 // RequestNN — it prunes candidates through the R-tree
 // (branch-and-bound, node accesses in Cost) and observes one MVCC
 // snapshot, so answers stay consistent under concurrent ingestion.
 // EvaluateNN is the engine-less path over a raw slice.
-func EvaluateNN(points []PointObject, issuer PDF, samples int, rng *rand.Rand) (NNResult, error) {
-	return nn.Evaluate(points, issuer, samples, rng)
+func EvaluateNN(points []PointObject, issuer PDF, samples int, seed int64) (NNResult, error) {
+	return nn.Evaluate(points, issuer, samples, seed)
 }
 
 // EvaluateNNThreshold is EvaluateNN restricted to probabilities >= qp.
 //
 // Engine-holding applications should prefer a RequestNN with
 // Threshold set; see EvaluateNN.
-func EvaluateNNThreshold(points []PointObject, issuer PDF, qp float64, samples int, rng *rand.Rand) (NNResult, error) {
-	return nn.EvaluateThreshold(points, issuer, qp, samples, rng)
+func EvaluateNNThreshold(points []PointObject, issuer PDF, qp float64, samples int, seed int64) (NNResult, error) {
+	return nn.EvaluateThreshold(points, issuer, qp, samples, seed)
 }
 
 // Dataset re-exports.

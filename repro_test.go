@@ -3,7 +3,6 @@ package repro_test
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro"
@@ -108,7 +107,7 @@ func TestPublicAPINearestNeighbor(t *testing.T) {
 	}
 	// The deprecated slice-based shim still answers (per-candidate
 	// streams sum to 1 only up to sampling error).
-	res, err := repro.EvaluateNN(points, issPDF, 4000, rand.New(rand.NewSource(23)))
+	res, err := repro.EvaluateNN(points, issPDF, 4000, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestPublicAPINearestNeighbor(t *testing.T) {
 	if math.Abs(sum-1) > 0.1 {
 		t.Fatalf("NN probabilities sum to %g, want ~1", sum)
 	}
-	th, err := repro.EvaluateNNThreshold(points, issPDF, 0.2, 4000, rand.New(rand.NewSource(23)))
+	th, err := repro.EvaluateNNThreshold(points, issPDF, 0.2, 4000, 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +382,7 @@ func TestPublicAPIContinuousMonitor(t *testing.T) {
 		t.Fatalf("far update not guard-filtered: %+v", out)
 	}
 
-	guard, err := repro.GuardRegion(q, repro.EvalOptions{})
+	guard, err := repro.RequestUncertain(q.Issuer, q.W, q.H, q.Threshold).GuardRegion()
 	if err != nil {
 		t.Fatal(err)
 	}
